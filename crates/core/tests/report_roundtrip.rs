@@ -48,3 +48,87 @@ fn full_report_json_roundtrip() {
     );
     assert_eq!(back.voltage_map.grid(), report.voltage_map.grid());
 }
+
+/// Nesting depth of a JSON value (a scalar is depth 0).
+fn depth(v: &bright_jsonio::Value) -> usize {
+    use bright_jsonio::Value;
+    match v {
+        Value::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Value::Object(map) => 1 + map.values().map(depth).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+#[test]
+fn service_report_files_round_trip_under_the_parser_depth_limit() {
+    use bright_core::service::{JobKind, JobSpec, LoadRef};
+    use bright_core::{ReportPayload, ScenarioService, ServiceClock, ServiceConfig, SteppingMode};
+    use bright_jsonio::{checksummed, Value, MAX_DEPTH};
+
+    let dir = std::env::temp_dir().join(format!("bright_report_rt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let coarse = |mut spec: JobSpec| {
+        spec.overrides.thermal_columns = Some(11);
+        spec.overrides.thermal_ny = Some(8);
+        spec.overrides.cell_ny = Some(10);
+        spec.overrides.cell_nx = Some(16);
+        spec.overrides.sweep_points = Some(4);
+        spec
+    };
+    let steady = coarse(JobSpec::steady("power7_reduced"));
+    let mut transient = steady.clone();
+    transient.kind = JobKind::Transient {
+        trace: vec![(2e-3, LoadRef::full_load(), None)],
+        initial_temperature_k: 300.0,
+        stepping: SteppingMode::Fixed { dt: 1e-3 },
+    };
+    let mut polarization = steady.clone();
+    polarization.kind = JobKind::Polarization { points: 4 };
+
+    let mut svc = ScenarioService::open(
+        &dir,
+        ServiceConfig::default(),
+        ServiceClock::manual(1 << 40),
+    )
+    .expect("service opens");
+    for spec in [steady, transient, polarization] {
+        svc.submit(spec).expect("admitted");
+    }
+    svc.drain().expect("drain");
+
+    let mut kinds = Vec::new();
+    for entry in std::fs::read_dir(dir.join("reports"))
+        .expect("reports written")
+        .flatten()
+    {
+        let text = std::fs::read_to_string(entry.path()).expect("report readable");
+        let value = checksummed::parse(&text).expect("report file parses and verifies");
+        assert!(
+            depth(&value) < MAX_DEPTH / 4,
+            "report nests {} levels",
+            depth(&value)
+        );
+        let payload = ReportPayload::from_json(&value).expect("payload decodes");
+        let again = payload.to_json();
+        assert_eq!(again, value, "decode/encode changed the report");
+        assert_eq!(
+            checksummed::to_string(&again),
+            text,
+            "re-encoded file differs"
+        );
+        assert_eq!(
+            Value::parse(&again.to_json_string()).expect("reparses"),
+            again
+        );
+        kinds.push(
+            value
+                .get("kind")
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .to_owned(),
+        );
+    }
+    kinds.sort();
+    assert_eq!(kinds, ["polarization", "steady", "transient"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

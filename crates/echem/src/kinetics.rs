@@ -188,7 +188,8 @@ impl ButlerVolmer {
     /// workspace) the inversion is closed-form: with `X = exp(n·F·η/(2RT))`
     /// the kinetics become the quadratic `a_red·X² − (i/i₀)·X − a_ox = 0`.
     /// For other `α` a damped Newton iteration seeded from the symmetric
-    /// solution is used.
+    /// solution is used. See [`ResolvedKinetics`] for repeated inversions
+    /// at one temperature.
     ///
     /// # Errors
     ///
@@ -203,73 +204,31 @@ impl ButlerVolmer {
         surface: SurfaceState,
         t: Kelvin,
     ) -> Result<f64, EchemError> {
+        self.resolve(t)?.overpotential(target.value(), surface)
+    }
+
+    /// Resolves the kinetics at temperature `t`: the exchange current
+    /// density, `n·F/(R·T)` and the reference-concentration reciprocals
+    /// are computed once, so repeated inversions at one temperature (a
+    /// flow-cell station's root solve) pay only for the kinetic law.
+    ///
+    /// # Errors
+    ///
+    /// [`EchemError::InvalidTemperature`] for a non-physical `t`.
+    pub fn resolve(&self, t: Kelvin) -> Result<ResolvedKinetics, EchemError> {
         if !t.is_physical() {
             return Err(EchemError::InvalidTemperature(format!(
                 "non-physical temperature {t}"
             )));
         }
-        let a_red = surface.c_red / self.c_red_ref;
-        let a_ox = surface.c_ox / self.c_ox_ref;
-        if !a_red.is_finite() || !a_ox.is_finite() || a_red < 0.0 || a_ox < 0.0 {
-            return Err(EchemError::InvalidConcentration(format!(
-                "bad surface ratios a_red={a_red}, a_ox={a_ox}"
-            )));
-        }
-        let i0 = self.exchange_current_density().value();
-        let y = target.value() / i0;
-        if a_red <= 0.0 && y > 0.0 {
-            return Err(EchemError::InfeasibleOperatingPoint(
-                "anodic current demanded with depleted reductant".into(),
-            ));
-        }
-        if a_ox <= 0.0 && y < 0.0 {
-            return Err(EchemError::InfeasibleOperatingPoint(
-                "cathodic current demanded with depleted oxidant".into(),
-            ));
-        }
         let n = self.couple.electrons() as f64;
-        let f_over_rt = n / thermal_voltage(t.value());
-
-        // Symmetric closed form (exact for alpha = 1/2).
-        let symmetric_eta = {
-            let disc = (y * y + 4.0 * a_red * a_ox).sqrt();
-            let x = if a_red > 0.0 {
-                (y + disc) / (2.0 * a_red)
-            } else {
-                // a_red == 0, y <= 0: X = -a_ox / y.
-                -a_ox / y
-            };
-            if !x.is_finite() || x <= 0.0 {
-                return Err(EchemError::InfeasibleOperatingPoint(format!(
-                    "no overpotential satisfies i/i0 = {y:.3e} at a_red={a_red:.3e}, \
-                     a_ox={a_ox:.3e}"
-                )));
-            }
-            2.0 * x.ln() / f_over_rt
-        };
-        if (self.couple.alpha() - 0.5).abs() < 1e-12 {
-            return Ok(symmetric_eta);
-        }
-        // General alpha: damped Newton on the monotone BV curve.
-        let mut eta = symmetric_eta;
-        for _ in 0..100 {
-            let i = self.current_density(eta, surface, t)?.value();
-            let resid = i - target.value();
-            let slope = self.current_density_slope(eta, surface, t)?;
-            if slope <= 0.0 || !slope.is_finite() {
-                break;
-            }
-            let mut step = resid / slope;
-            let scale = 2.0 / f_over_rt;
-            if step.abs() > scale {
-                step = step.signum() * scale;
-            }
-            eta -= step;
-            if step.abs() < 1e-14 {
-                break;
-            }
-        }
-        Ok(eta)
+        Ok(ResolvedKinetics {
+            i0: self.exchange_current_density().value(),
+            f_over_rt: n / thermal_voltage(t.value()),
+            alpha: self.couple.alpha(),
+            inv_c_ox_ref: 1.0 / self.c_ox_ref.value(),
+            inv_c_red_ref: 1.0 / self.c_red_ref.value(),
+        })
     }
 
     /// Charge-transfer resistance per unit area at equilibrium:
@@ -283,6 +242,150 @@ impl ButlerVolmer {
         }
         let n = self.couple.electrons() as f64;
         Ok(thermal_voltage(t.value()) / (n * self.exchange_current_density().value()))
+    }
+}
+
+/// Butler–Volmer kinetics resolved at one temperature (see
+/// [`ButlerVolmer::resolve`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResolvedKinetics {
+    i0: f64,
+    f_over_rt: f64,
+    alpha: f64,
+    inv_c_ox_ref: f64,
+    inv_c_red_ref: f64,
+}
+
+/// The root of the kinetic law at one target current: the overpotential
+/// and the two exponentials `e_a = exp((1−α)·f·η)`, `e_c = exp(−α·f·η)`
+/// (with `f = n·F/(R·T)`) that its slope needs.
+struct Inversion {
+    eta: f64,
+    e_a: f64,
+    e_c: f64,
+    a_red: f64,
+    a_ox: f64,
+}
+
+impl ResolvedKinetics {
+    /// The overpotential that drives current density `target` (A/m²,
+    /// anodic positive) at the given surface state — the resolved form of
+    /// [`ButlerVolmer::overpotential_for_current`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ButlerVolmer::overpotential_for_current`].
+    pub fn overpotential(&self, target: f64, surface: SurfaceState) -> Result<f64, EchemError> {
+        Ok(self.invert(target, surface)?.eta)
+    }
+
+    /// The overpotential at `target` together with its total derivative
+    /// `dη/di` (V per A/m²) along a path on which the surface
+    /// concentrations move with the current at the rates `dc_ox` and
+    /// `dc_red` (mol/m³ per A/m²).
+    ///
+    /// Implicit differentiation of `i/i₀ = a_red·e_a − a_ox·e_c` gives
+    ///
+    /// ```text
+    /// dη/di = (1/i₀ − e_a·da_red/di + e_c·da_ox/di) / (f·((1−α)·a_red·e_a + α·a_ox·e_c))
+    /// ```
+    ///
+    /// which at `α = ½` is the quadratic form `i/i₀ = a_red·X − a_ox/X`,
+    /// `X = exp(f·η/2)`, differentiated in `X`. One formula serves
+    /// every `α`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ButlerVolmer::overpotential_for_current`].
+    pub fn overpotential_with_slope(
+        &self,
+        target: f64,
+        surface: SurfaceState,
+        dc_ox: f64,
+        dc_red: f64,
+    ) -> Result<(f64, f64), EchemError> {
+        let inv = self.invert(target, surface)?;
+        let a = self.alpha;
+        let numerator = 1.0 / self.i0 - inv.e_a * dc_red * self.inv_c_red_ref
+            + inv.e_c * dc_ox * self.inv_c_ox_ref;
+        let dy_deta = self.f_over_rt * ((1.0 - a) * inv.a_red * inv.e_a + a * inv.a_ox * inv.e_c);
+        Ok((inv.eta, numerator / dy_deta))
+    }
+
+    fn invert(&self, target: f64, surface: SurfaceState) -> Result<Inversion, EchemError> {
+        let a_red = surface.c_red.value() * self.inv_c_red_ref;
+        let a_ox = surface.c_ox.value() * self.inv_c_ox_ref;
+        if !a_red.is_finite() || !a_ox.is_finite() || a_red < 0.0 || a_ox < 0.0 {
+            return Err(EchemError::InvalidConcentration(format!(
+                "bad surface ratios a_red={a_red}, a_ox={a_ox}"
+            )));
+        }
+        let y = target / self.i0;
+        if a_red <= 0.0 && y > 0.0 {
+            return Err(EchemError::InfeasibleOperatingPoint(
+                "anodic current demanded with depleted reductant".into(),
+            ));
+        }
+        if a_ox <= 0.0 && y < 0.0 {
+            return Err(EchemError::InfeasibleOperatingPoint(
+                "cathodic current demanded with depleted oxidant".into(),
+            ));
+        }
+        // Symmetric closed form (exact for alpha = 1/2): the positive
+        // root of a_red·X² − y·X − a_ox = 0, taken in the form that does
+        // not cancel (for y < 0, y + disc loses every digit once the
+        // surface oxidant runs low).
+        let disc = (y * y + 4.0 * a_red * a_ox).sqrt();
+        let x = if y >= 0.0 {
+            (y + disc) / (2.0 * a_red)
+        } else {
+            2.0 * a_ox / (disc - y)
+        };
+        if !x.is_finite() || x <= 0.0 {
+            return Err(EchemError::InfeasibleOperatingPoint(format!(
+                "no overpotential satisfies i/i0 = {y:.3e} at a_red={a_red:.3e}, \
+                 a_ox={a_ox:.3e}"
+            )));
+        }
+        let f = self.f_over_rt;
+        let a = self.alpha;
+        let symmetric_eta = 2.0 * x.ln() / f;
+        if (a - 0.5).abs() < 1e-12 {
+            return Ok(Inversion {
+                eta: symmetric_eta,
+                e_a: x,
+                e_c: 1.0 / x,
+                a_red,
+                a_ox,
+            });
+        }
+        // General alpha: damped Newton on the monotone BV curve.
+        let mut eta = symmetric_eta;
+        for _ in 0..100 {
+            let e_a = ((1.0 - a) * f * eta).exp();
+            let e_c = (-a * f * eta).exp();
+            let resid = a_red * e_a - a_ox * e_c - y;
+            let slope = f * ((1.0 - a) * a_red * e_a + a * a_ox * e_c);
+            if slope <= 0.0 || !slope.is_finite() {
+                break;
+            }
+            let mut step = resid / slope;
+            let scale = 2.0 / f;
+            if step.abs() > scale {
+                step = step.signum() * scale;
+            }
+            eta -= step;
+            if step.abs() < 1e-14 {
+                break;
+            }
+        }
+        Ok(Inversion {
+            eta,
+            e_a: ((1.0 - a) * f * eta).exp(),
+            e_c: (-a * f * eta).exp(),
+            a_red,
+            a_ox,
+        })
     }
 }
 
@@ -366,6 +469,47 @@ mod tests {
             - b.current_density(eta - h, bulk(), t).unwrap().value())
             / (2.0 * h);
         assert!(((slope - fd) / fd).abs() < 1e-6, "{slope} vs {fd}");
+    }
+
+    #[test]
+    fn overpotential_slope_matches_finite_difference() {
+        // Surface concentrations that move with the current, as at a
+        // flow-cell station: the slope is the total derivative along
+        // that path, for the symmetric and an asymmetric couple.
+        let t = Kelvin::new(300.0);
+        let (dc_ox, dc_red) = (0.3, -0.5);
+        let surface = |j: f64| SurfaceState {
+            c_ox: MolePerCubicMeter::new(800.0 + j * dc_ox),
+            c_red: MolePerCubicMeter::new(900.0 + j * dc_red),
+        };
+        for alpha in [0.5, 0.4] {
+            let couple = RedoxCouple::new("fd", Volt::new(0.0), 1, alpha).unwrap();
+            let b = ButlerVolmer::new(
+                couple,
+                MetersPerSecondRate::new(1e-5),
+                MolePerCubicMeter::new(1000.0),
+                MolePerCubicMeter::new(1000.0),
+            )
+            .unwrap();
+            let k = b.resolve(t).unwrap();
+            for j in [-600.0, -20.0, 0.0, 35.0, 700.0] {
+                let (eta, slope) = k
+                    .overpotential_with_slope(j, surface(j), dc_ox, dc_red)
+                    .unwrap();
+                let direct = b
+                    .overpotential_for_current(AmperePerSquareMeter::new(j), surface(j), t)
+                    .unwrap();
+                assert_eq!(eta.to_bits(), direct.to_bits());
+                let h = 1e-4 * j.abs().max(1.0);
+                let fd = (k.overpotential(j + h, surface(j + h)).unwrap()
+                    - k.overpotential(j - h, surface(j - h)).unwrap())
+                    / (2.0 * h);
+                assert!(
+                    ((slope - fd) / fd).abs() < 1e-6,
+                    "alpha {alpha}, j {j}: {slope} vs {fd}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod vanadium;
 pub use cell::{CellChemistry, HalfCellChemistry};
 pub use couple::RedoxCouple;
 pub use electrolyte::{Electrolyte, IonicConductivity};
-pub use kinetics::{ButlerVolmer, SurfaceState};
+pub use kinetics::{ButlerVolmer, ResolvedKinetics, SurfaceState};
 pub use temperature::Arrhenius;
 
 use std::fmt;

@@ -198,6 +198,9 @@ pub struct HalfCellMarcher {
     dy: f64,
     dx: f64,
     velocity: Vec<f64>,
+    /// `u/dx` per cell: the advection coefficient of the implicit
+    /// operator and the zero-flux right-hand-side scaling.
+    advection: Vec<f64>,
     reactant: Vec<f64>,
     product: Vec<f64>,
     // Station scratch state (filled by `prepare`).
@@ -272,10 +275,12 @@ impl HalfCellMarcher {
                 "negative inlet concentration".into(),
             ));
         }
+        let dx = electrode_length / nx as f64;
         Ok(Self {
             ny,
             dy: half_width / ny as f64,
-            dx: electrode_length / nx as f64,
+            dx,
+            advection: velocity.iter().map(|u| u / dx).collect(),
             velocity,
             reactant: vec![c_reactant_in; ny],
             product: vec![c_product_in; ny],
@@ -334,8 +339,7 @@ impl HalfCellMarcher {
         }
         let w = d / (self.dy * self.dy);
         for j in 0..self.ny {
-            let adv = self.velocity[j] / self.dx;
-            let mut diag = adv;
+            let mut diag = self.advection[j];
             if j > 0 {
                 self.lower[j - 1] = -w;
                 diag += w;
@@ -350,17 +354,25 @@ impl HalfCellMarcher {
         // the diffusion terms keep the diagonal positive for ny >= 2.
 
         // Zero-flux advance of both species.
-        self.r_zero_flux.copy_from_slice(&self.reactant);
-        for (rhs, u) in self.r_zero_flux.iter_mut().zip(&self.velocity) {
-            *rhs *= u / self.dx;
+        for ((rhs, c), w) in self
+            .r_zero_flux
+            .iter_mut()
+            .zip(&self.reactant)
+            .zip(&self.advection)
+        {
+            *rhs = c * w;
         }
         self.ws
             .solve_in_place(&self.lower, &self.diag, &self.upper, &mut self.r_zero_flux)
             .map_err(FlowCellError::from)?;
 
-        self.p_zero_flux.copy_from_slice(&self.product);
-        for (rhs, u) in self.p_zero_flux.iter_mut().zip(&self.velocity) {
-            *rhs *= u / self.dx;
+        for ((rhs, c), w) in self
+            .p_zero_flux
+            .iter_mut()
+            .zip(&self.product)
+            .zip(&self.advection)
+        {
+            *rhs = c * w;
         }
         self.ws
             .solve_in_place(&self.lower, &self.diag, &self.upper, &mut self.p_zero_flux)
@@ -425,21 +437,15 @@ impl HalfCellMarcher {
                 self.dx
             )));
         }
-        // Zero-flux advance of both species.
-        self.r_zero_flux.copy_from_slice(&self.reactant);
-        for (rhs, u) in self.r_zero_flux.iter_mut().zip(&self.velocity) {
-            *rhs *= u / self.dx;
+        // Zero-flux advance of both species: two independent
+        // back-substitutions through one factorization, interleaved.
+        for j in 0..self.ny {
+            let w = self.advection[j];
+            self.r_zero_flux[j] = self.reactant[j] * w;
+            self.p_zero_flux[j] = self.product[j] * w;
         }
         op.fac
-            .solve_in_place(&mut self.r_zero_flux)
-            .map_err(FlowCellError::from)?;
-
-        self.p_zero_flux.copy_from_slice(&self.product);
-        for (rhs, u) in self.p_zero_flux.iter_mut().zip(&self.velocity) {
-            *rhs *= u / self.dx;
-        }
-        op.fac
-            .solve_in_place(&mut self.p_zero_flux)
+            .solve_pair_in_place(&mut self.r_zero_flux, &mut self.p_zero_flux)
             .map_err(FlowCellError::from)?;
 
         self.sensitivity.copy_from_slice(&op.sensitivity);
@@ -607,6 +613,36 @@ mod tests {
         }
         for (ca, cb) in a.reactant().iter().zip(b.reactant()) {
             assert!((ca - cb).abs() < 1e-6, "{ca} vs {cb}");
+        }
+    }
+
+    #[test]
+    fn prepare_with_is_bitwise_two_single_back_substitutions() {
+        // The paired back-substitution must not change a bit of either
+        // species' zero-flux advance.
+        let ny = 48;
+        let velocity: Vec<f64> = (0..ny).map(|j| 0.2 + 0.05 * j as f64).collect();
+        let mut m = HalfCellMarcher::new(100e-6, 22e-3, 30, velocity.clone(), 2000.0, 1.0).unwrap();
+        let op = TransportOp::new(&velocity, m.dx(), 100e-6 / ny as f64, 2.1e-10).unwrap();
+        for station in 0..30 {
+            let mut r = m.reactant.clone();
+            let mut p = m.product.clone();
+            for ((r, p), u) in r.iter_mut().zip(p.iter_mut()).zip(&velocity) {
+                *r *= u / m.dx;
+                *p *= u / m.dx;
+            }
+            op.fac.solve_in_place(&mut r).unwrap();
+            op.fac.solve_in_place(&mut p).unwrap();
+            m.prepare_with(&op).unwrap();
+            for (a, b) in m
+                .r_zero_flux
+                .iter()
+                .zip(&r)
+                .chain(m.p_zero_flux.iter().zip(&p))
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "station {station}");
+            }
+            m.commit(2e-3);
         }
     }
 

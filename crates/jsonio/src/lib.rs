@@ -3,7 +3,9 @@
 //! The workspace's report/export layer needs JSON round-trips but the
 //! build environment cannot fetch `serde`/`serde_json`, so this crate
 //! provides a small hand-rolled replacement: a [`Value`] tree, a
-//! recursive-descent [`Value::parse`], and compact/pretty writers.
+//! recursive-descent [`Value::parse`] (nesting bounded by [`MAX_DEPTH`],
+//! so hostile input cannot exhaust the stack), and compact/pretty
+//! writers.
 //!
 //! Numbers are stored as `f64` and written with Rust's shortest
 //! round-trip float formatting, so `f64 -> JSON -> f64` is exact.
@@ -43,13 +45,46 @@ pub enum Value {
     Object(BTreeMap<String, Value>),
 }
 
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts. The
+/// parser recurses once per level, so the bound keeps a document of
+/// nested brackets from overflowing the stack; the workspace's reports
+/// nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// What kind of failure a [`JsonError`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The text is not well-formed JSON.
+    Syntax,
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`]; the offset is the
+    /// bracket that crossed the limit.
+    TooDeep,
+    /// Well-formed JSON that is not a valid checksummed envelope:
+    /// missing or mistyped fields, or a digest mismatch.
+    Envelope,
+    /// The document could not be read.
+    Io,
+}
+
 /// Errors produced while parsing JSON text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
+    /// What went wrong, as a type.
+    pub kind: JsonErrorKind,
     /// Byte offset of the error.
     pub offset: usize,
     /// Description of what went wrong.
     pub message: String,
+}
+
+impl JsonError {
+    fn new(kind: JsonErrorKind, offset: usize, message: impl Into<String>) -> Self {
+        Self {
+            kind,
+            offset,
+            message: message.into(),
+        }
+    }
 }
 
 impl fmt::Display for JsonError {
@@ -135,11 +170,13 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input.
+    /// Returns [`JsonError`] with a byte offset on malformed input
+    /// ([`JsonErrorKind::Syntax`]) or on nesting deeper than
+    /// [`MAX_DEPTH`] ([`JsonErrorKind::TooDeep`]).
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after document"));
@@ -165,10 +202,19 @@ impl Value {
 }
 
 fn err(offset: usize, message: &str) -> JsonError {
-    JsonError {
-        offset,
-        message: message.to_string(),
+    JsonError::new(JsonErrorKind::Syntax, offset, message)
+}
+
+/// Enters one more level of nesting at the bracket at `offset`.
+fn nest(depth: usize, offset: usize) -> Result<usize, JsonError> {
+    if depth >= MAX_DEPTH {
+        return Err(JsonError::new(
+            JsonErrorKind::TooDeep,
+            offset,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
     }
+    Ok(depth + 1)
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -186,12 +232,13 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+/// Parses one value; `depth` is the number of enclosing arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{') => parse_object(b, pos, nest(depth, *pos)?),
+        Some(b'[') => parse_array(b, pos, nest(depth, *pos)?),
         Some(b'"') => Ok(Value::String(parse_string(b, pos)?)),
         Some(b't') => parse_keyword(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(b, pos, "false", Value::Bool(false)),
@@ -209,7 +256,7 @@ fn parse_keyword(b: &[u8], pos: &mut usize, kw: &str, value: Value) -> Result<Va
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -222,7 +269,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -236,7 +283,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -245,7 +292,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -427,7 +474,7 @@ fn write_number(x: f64, out: &mut String) {
 ///   target, so readers only ever observe the old document or the new
 ///   one — never a prefix.
 pub mod checksummed {
-    use super::{JsonError, Value};
+    use super::{JsonError, JsonErrorKind, Value};
     use std::fs;
     use std::io::Write;
     use std::path::Path;
@@ -466,18 +513,17 @@ pub mod checksummed {
         let crc_text = envelope
             .get("crc")
             .and_then(Value::as_str)
-            .ok_or_else(|| JsonError { offset: 0, message: "missing 'crc' field".into() })?;
+            .ok_or_else(|| envelope_error("missing 'crc' field"))?;
         let expected = u64::from_str_radix(crc_text, 16)
-            .map_err(|_| JsonError { offset: 0, message: "malformed 'crc' field".into() })?;
+            .map_err(|_| envelope_error("malformed 'crc' field"))?;
         let payload = envelope
             .get("payload")
-            .ok_or_else(|| JsonError { offset: 0, message: "missing 'payload' field".into() })?;
+            .ok_or_else(|| envelope_error("missing 'payload' field"))?;
         let actual = fnv1a64(payload.to_json_string().as_bytes());
         if actual != expected {
-            return Err(JsonError {
-                offset: 0,
-                message: format!("checksum mismatch: stored {expected:016x}, computed {actual:016x}"),
-            });
+            return Err(envelope_error(format!(
+                "checksum mismatch: stored {expected:016x}, computed {actual:016x}"
+            )));
         }
         Ok(payload.clone())
     }
@@ -510,11 +556,18 @@ pub mod checksummed {
     /// (I/O errors are folded into the message — callers treat every
     /// failure mode as "document not trustworthy").
     pub fn read_verified(path: &Path) -> Result<Value, JsonError> {
-        let text = fs::read_to_string(path).map_err(|e| JsonError {
-            offset: 0,
-            message: format!("read {}: {e}", path.display()),
+        let text = fs::read_to_string(path).map_err(|e| {
+            JsonError::new(
+                JsonErrorKind::Io,
+                0,
+                format!("read {}: {e}", path.display()),
+            )
         })?;
         parse(&text)
+    }
+
+    fn envelope_error(message: impl Into<String>) -> JsonError {
+        JsonError::new(JsonErrorKind::Envelope, 0, message)
     }
 }
 
@@ -586,6 +639,32 @@ mod tests {
         assert!(Value::parse("tru").is_err());
         assert!(Value::parse("1 2").is_err());
         assert!(Value::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_beyond_the_depth_limit_is_a_typed_error() {
+        // A million unclosed brackets used to recurse once per level
+        // and overflow the stack; the parser now stops at the limit.
+        let depth = 1_000_000;
+        for open in ["[", "{\"a\":"] {
+            let text = open.repeat(depth);
+            let e = Value::parse(&text).unwrap_err();
+            assert_eq!(e.kind, JsonErrorKind::TooDeep, "{e}");
+            assert_eq!(e.offset, MAX_DEPTH * open.len(), "{e}");
+        }
+        // Exactly at the limit still parses; one more level does not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&at_limit).is_ok());
+        let beyond = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(
+            Value::parse(&beyond).unwrap_err().kind,
+            JsonErrorKind::TooDeep
+        );
+        // Malformed (not deep) input keeps the syntax kind.
+        assert_eq!(
+            Value::parse("[1,]").unwrap_err().kind,
+            JsonErrorKind::Syntax
+        );
     }
 
     #[test]

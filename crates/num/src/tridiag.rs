@@ -315,6 +315,42 @@ impl TridiagonalFactorization {
         }
         Ok(())
     }
+
+    /// Solves two right-hand sides against the same factorization, in
+    /// place. Each substitution is a serial dependency chain, so
+    /// interleaving two independent chains row by row roughly halves
+    /// their combined latency. The arithmetic per vector is exactly that
+    /// of [`TridiagonalFactorization::solve_in_place`], so the results
+    /// are bitwise-equal to two separate solves.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::DimensionMismatch`] if either vector's length
+    /// differs from `self.len()`.
+    pub fn solve_pair_in_place(&self, x: &mut [f64], y: &mut [f64]) -> Result<(), NumError> {
+        let n = self.len();
+        if x.len() != n || y.len() != n {
+            return Err(NumError::DimensionMismatch(format!(
+                "rhs lengths ({}, {}) != factored system size {n}",
+                x.len(),
+                y.len()
+            )));
+        }
+        x[0] *= self.inv_beta[0];
+        y[0] *= self.inv_beta[0];
+        for i in 1..n {
+            let (l, b) = (self.lower[i - 1], self.inv_beta[i]);
+            x[i] = (x[i] - l * x[i - 1]) * b;
+            y[i] = (y[i] - l * y[i - 1]) * b;
+        }
+        for i in (0..n - 1).rev() {
+            let c = self.c_prime[i];
+            let (xn, yn) = (x[i + 1], y[i + 1]);
+            x[i] -= c * xn;
+            y[i] -= c * yn;
+        }
+        Ok(())
+    }
 }
 
 /// Workspace-reusing Thomas solver for repeated solves of same-sized

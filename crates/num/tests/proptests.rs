@@ -9,6 +9,7 @@ use bright_num::solvers::{
     bicgstab, bicgstab_with_workspace, conjugate_gradient, conjugate_gradient_with_workspace,
     sor_solve, IterOptions, KrylovWorkspace,
 };
+use bright_num::tridiag::TridiagonalFactorization;
 use bright_num::vec_ops;
 use bright_num::{
     Backend, KernelSpec, PrecondSpec, SolverSession, TripletMatrix,
@@ -181,6 +182,37 @@ proptest! {
         let s = simpson_uniform(&y, h).unwrap();
         // Exact integral of sin over [0, pi] is 2.
         prop_assert!((s - 2.0).abs() <= (t - 2.0).abs() + 1e-14);
+    }
+
+    #[test]
+    fn paired_tridiagonal_solve_is_bitwise_two_single_solves(
+        n in 1usize..201,
+        seed in 0u64..1000,
+    ) {
+        // Random diagonally dominant bands, two random right-hand sides.
+        let lower: Vec<f64> = (0..n - 1).map(|i| lcg(seed, i as u64, 11) * 2.0).collect();
+        let upper: Vec<f64> = (0..n - 1).map(|i| lcg(seed, i as u64, 13) * 2.0).collect();
+        let diag: Vec<f64> = (0..n)
+            .map(|i| {
+                let off = lower.get(i.wrapping_sub(1)).map_or(0.0, |l| l.abs())
+                    + upper.get(i).map_or(0.0, |u| u.abs());
+                off + 0.1 + lcg(seed, i as u64, 17).abs() * 3.0
+            })
+            .collect();
+        let fac = TridiagonalFactorization::factor(&lower, &diag, &upper).unwrap();
+        let x0: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 19) * 1e3).collect();
+        let y0: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 23) * 1e-3).collect();
+        let (mut x1, mut y1) = (x0.clone(), y0.clone());
+        fac.solve_in_place(&mut x1).unwrap();
+        fac.solve_in_place(&mut y1).unwrap();
+        let (mut x2, mut y2) = (x0, y0);
+        fac.solve_pair_in_place(&mut x2, &mut y2).unwrap();
+        for (a, b) in x1.iter().zip(&x2).chain(y1.iter().zip(&y2)) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // A length mismatch on either side is rejected.
+        let mut short = vec![0.0; n + 1];
+        prop_assert!(fac.solve_pair_in_place(&mut x2, &mut short).is_err());
     }
 
     #[test]
