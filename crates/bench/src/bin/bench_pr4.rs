@@ -10,7 +10,8 @@
 //!   diagonal scaling, backward sweep) on a 3×-resolution PDN grid,
 //!   sequential vs level-scheduled parallel. Gate ≥ 1.5×.
 //! * `bicgstab_fused` — an end-to-end BiCGSTAB solve of a 212×170
-//!   upwind convection–diffusion system: the shipped PR-4 path
+//!   upwind convection–diffusion system: the multi-backend path pinned
+//!   to the threaded backend
 //!   (backend-dispatched matvec + fused pairwise reductions) vs the
 //!   pre-PR-4 loop (scalar matvec, sequential unfused dots),
 //!   replicated in this binary as the baseline. Gate ≥ 1.1×.
@@ -291,11 +292,13 @@ fn bench_bicgstab(reps: usize) -> SolveResult {
         black_box(x);
     });
 
+    // Pinned to the threaded backend: this leg measures the fused
+    // multi-backend solve the gate was set for, whatever `Auto` picks.
     let opts = IterOptions {
         tolerance: tol,
         max_iterations: 50_000,
         preconditioner: PrecondSpec::Jacobi,
-        kernel: KernelSpec::Auto,
+        kernel: KernelSpec::Fixed(Backend::Threaded),
     };
     let mut optimized_iters = 0usize;
     let mut check = Vec::new();

@@ -771,6 +771,37 @@ mod tests {
     }
 
     #[test]
+    fn nominal_polarization_sweep_marches_each_channel_once() {
+        // One 16-point array sweep on the paper scenario's 88 thermal
+        // columns: every channel marches its whole ladder in one
+        // lockstep march, 16 lanes × 220 stations. A point-by-point
+        // sweep would take 16 marches per channel.
+        let s = Scenario::power7_nominal();
+        assert_eq!(
+            (s.thermal_columns, s.sweep_points, s.cell_options.nx),
+            (88, 16, 220)
+        );
+        let profiles: Vec<TemperatureProfile> = (0..s.thermal_columns)
+            .map(|k| {
+                let t = 300.0 + 0.05 * k as f64;
+                TemperatureProfile::Sampled(vec![
+                    bright_units::Kelvin::new(t),
+                    bright_units::Kelvin::new(t + 6.0),
+                ])
+            })
+            .collect();
+        let array = CellArray::new(cell_model_for(&s).unwrap(), s.thermal_columns)
+            .unwrap()
+            .with_channel_temperatures(profiles)
+            .unwrap();
+        array.polarization_curve(s.sweep_points).unwrap();
+        let stats = array.context_stats();
+        assert_eq!(stats.marches, 88, "{stats:?}");
+        assert_eq!(stats.lane_stations, 88 * 16 * 220, "{stats:?}");
+        assert_eq!(stats.station_solves, stats.lane_stations, "{stats:?}");
+    }
+
+    #[test]
     fn nominal_reduced_run_reproduces_headlines() {
         let r = reduced_report();
         // Peak temperature in the paper's band (Fig. 9: 41 degC).

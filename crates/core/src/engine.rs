@@ -708,9 +708,8 @@ impl ScenarioEngine {
 
     /// Replaces the kernel-backend selection applied to every worker
     /// (cached and future) — see [`KernelSpec`]. The default `Auto`
-    /// picks the threaded matvec on large grids and multi-core hosts
-    /// and scalar below the size threshold; `BRIGHT_KERNEL_BACKEND`
-    /// overrides both process-wide.
+    /// picks the blocked matvec, and scalar below the size threshold;
+    /// `BRIGHT_KERNEL_BACKEND` overrides both process-wide.
     pub fn set_kernel(&mut self, kernel: KernelSpec) {
         self.kernel = kernel;
         for worker in self.workers.values_mut() {

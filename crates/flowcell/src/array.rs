@@ -8,7 +8,7 @@
 
 use crate::options::TemperatureProfile;
 use crate::polarization::{PolarizationCurve, PolarizationPoint};
-use crate::solver::CellModel;
+use crate::solver::{CellContextStats, CellModel};
 use crate::FlowCellError;
 use bright_num::roots::{brent, RootOptions};
 use bright_units::{Ampere, Volt, Watt};
@@ -202,6 +202,21 @@ impl CellArray {
         ptrs.len()
     }
 
+    /// Context telemetry summed over the cached per-channel models, on
+    /// which every solve through the array runs (all zero before the
+    /// first solve builds them): how many marches and lane-stations the
+    /// array's solves took, among the other [`CellContextStats`]
+    /// counters.
+    #[must_use]
+    pub fn context_stats(&self) -> CellContextStats {
+        self.models
+            .get()
+            .into_iter()
+            .flatten()
+            .map(CellModel::context_stats)
+            .sum()
+    }
+
     /// Total array current at a terminal voltage.
     ///
     /// # Errors
@@ -266,8 +281,7 @@ impl CellArray {
     /// Propagates channel-solver errors.
     pub fn polarization_curve(&self, n: usize) -> Result<PolarizationCurve, FlowCellError> {
         match &self.per_channel_temperatures {
-            None => Ok(self
-                .template
+            None => Ok(self.channel_models()?[0]
                 .polarization_curve(n)?
                 .scaled_parallel(self.count)),
             Some(_) => {

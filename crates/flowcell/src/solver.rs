@@ -23,11 +23,23 @@
 //! current; one with `R` still non-negative at the limit sits on the
 //! transport-limited plateau. The committed flux then advances both
 //! streams' concentration fields.
+//!
+//! A voltage ladder (a polarization sweep) is solved in one *lockstep*
+//! march: every point is a lane, and the lanes advance down the channel
+//! together. The station operators depend on the station, not on the
+//! voltage, and point `v` needs only point `v−1`'s roots at this station
+//! and the previous one to start its own root, so within a station the
+//! lanes are solved in ladder order and all of them share one multi-lane
+//! back-substitution per electrode
+//! ([`bright_num::tridiag::TridiagonalFactorization::solve_lanes_in_place`]).
+//! Each lane's arithmetic is that of a one-lane march, so a sweep's
+//! solutions are bitwise-equal to solving its points one at a time; a
+//! single-point solve is simply the one-lane march.
 
 use crate::geometry::CellGeometry;
 use crate::options::{SolverOptions, TemperatureProfile, VelocityModel};
 use crate::polarization::{PolarizationCurve, PolarizationPoint};
-use crate::transport::{HalfCellMarcher, TransportOp};
+use crate::transport::{HalfCellMarcher, StationResponse, TransportOp};
 use crate::FlowCellError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -144,14 +156,39 @@ pub struct CellContextStats {
     pub residual_evaluations: u64,
     /// Station root solves (one per marching station per solve).
     pub station_solves: u64,
+    /// Marches down the channel: one per single-point solve and one per
+    /// whole [`CellModel::sweep_at_voltages`] ladder, however many
+    /// points it holds.
+    pub marches: u64,
+    /// Lanes × stations marched: the transport work, one multi-lane
+    /// station advance counting once per lane it carried.
+    pub lane_stations: u64,
+}
+
+impl std::iter::Sum for CellContextStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| Self {
+            geometry_builds: a.geometry_builds + b.geometry_builds,
+            coefficient_builds: a.coefficient_builds + b.coefficient_builds,
+            coefficient_refreshes: a.coefficient_refreshes + b.coefficient_refreshes,
+            op_builds: a.op_builds + b.op_builds,
+            op_refreshes: a.op_refreshes + b.op_refreshes,
+            residual_evaluations: a.residual_evaluations + b.residual_evaluations,
+            station_solves: a.station_solves + b.station_solves,
+            marches: a.marches + b.marches,
+            lane_stations: a.lane_stations + b.lane_stations,
+        })
+    }
 }
 
 /// Solve counters of a context. Solves run through `&self` (sweeps fan
-/// out across threads), so these are atomics, added to once per solve.
+/// out across threads), so these are atomics, added to once per march.
 #[derive(Debug, Default)]
 struct SolveCounts {
     residual_evaluations: AtomicU64,
     station_solves: AtomicU64,
+    marches: AtomicU64,
+    lane_stations: AtomicU64,
 }
 
 impl SolveCounts {
@@ -159,22 +196,35 @@ impl SolveCounts {
         Self {
             residual_evaluations: AtomicU64::new(stats.residual_evaluations),
             station_solves: AtomicU64::new(stats.station_solves),
+            marches: AtomicU64::new(stats.marches),
+            lane_stations: AtomicU64::new(stats.lane_stations),
         }
     }
 
-    fn record(&self, evaluations: u64, stations: u64) {
+    /// Records one march.
+    fn record(&self, evaluations: u64, stations: u64, lane_stations: u64) {
         self.residual_evaluations
             .fetch_add(evaluations, Ordering::Relaxed);
         self.station_solves.fetch_add(stations, Ordering::Relaxed);
+        self.marches.fetch_add(1, Ordering::Relaxed);
+        self.lane_stations.fetch_add(lane_stations, Ordering::Relaxed);
+    }
+
+    /// `stats` with the solve counters replaced by their current values.
+    fn over(&self, stats: CellContextStats) -> CellContextStats {
+        CellContextStats {
+            residual_evaluations: self.residual_evaluations.load(Ordering::Relaxed),
+            station_solves: self.station_solves.load(Ordering::Relaxed),
+            marches: self.marches.load(Ordering::Relaxed),
+            lane_stations: self.lane_stations.load(Ordering::Relaxed),
+            ..stats
+        }
     }
 }
 
 impl Clone for SolveCounts {
     fn clone(&self) -> Self {
-        Self {
-            residual_evaluations: AtomicU64::new(self.residual_evaluations.load(Ordering::Relaxed)),
-            station_solves: AtomicU64::new(self.station_solves.load(Ordering::Relaxed)),
-        }
+        Self::starting_at(&self.over(CellContextStats::default()))
     }
 }
 
@@ -423,11 +473,7 @@ struct SolveContext {
 impl SolveContext {
     /// Every counter, solve counters included.
     fn stats(&self) -> CellContextStats {
-        CellContextStats {
-            residual_evaluations: self.counts.residual_evaluations.load(Ordering::Relaxed),
-            station_solves: self.counts.station_solves.load(Ordering::Relaxed),
-            ..self.stats
-        }
+        self.counts.over(self.stats)
     }
 }
 
@@ -1038,125 +1084,134 @@ impl CellModel {
         Ok(())
     }
 
-    fn marchers(&self, ctx: &SolveContext) -> (HalfCellMarcher, HalfCellMarcher) {
-        (ctx.coef.anode_proto.clone(), ctx.coef.cathode_proto.clone())
-    }
-
+    /// One-point solve: the one-lane march.
     fn solve_with_context(
         &self,
         voltage: f64,
         ctx: &SolveContext,
     ) -> Result<CellSolution, FlowCellError> {
-        self.solve_with_context_warm(voltage, ctx, None)
+        let mut sols = self.march(&[voltage], None, ctx)?;
+        Ok(sols.pop().expect("one lane, one solution"))
     }
 
-    /// Core marching solve. At every station the voltage balance
-    /// `R(i) = U − η_a(i) + η_c(i) − i·ASR − V` is strictly decreasing in
-    /// the local current density `i` below the local transport limit;
-    /// [`solve_station`] finds its root by bracket-safeguarded Newton on
-    /// the analytic slope `dR/di`.
+    /// Core marching solve of a voltage ladder: every point (*lane*) of
+    /// `voltages` marches down the channel together, station by station
+    /// and, within a station, lane by lane in ladder order. At every
+    /// station the voltage balance `R(i) = U − η_a(i) + η_c(i) − i·ASR − V`
+    /// is strictly decreasing in the local current density `i` below
+    /// the local transport limit; [`solve_station`] finds its root by
+    /// bracket-safeguarded Newton on the analytic slope `dR/di`.
     ///
-    /// `hint`, when present, carries the station current densities of a
-    /// nearby solved operating point (e.g. the neighbouring voltage of a
-    /// polarization sweep); [`warm_start`] turns it and the previous
-    /// station's root into each station's starting point. Stations
-    /// converge to `|R| ≤ 1e-10 V`, so a hinted solve and a cold one
-    /// agree to that residual tolerance, not bitwise.
-    fn solve_with_context_warm(
+    /// Lane `v` starts each station from [`warm_start`] over lane `v−1`'s
+    /// roots at this station and the previous one (the neighbouring
+    /// point's profile shape) and its own previous root; lane 0 takes
+    /// `hint` (a solved profile to continue from) in that role, or
+    /// starts from its own previous root alone. Those are exactly the
+    /// values a point-by-point sweep hinting each point with its
+    /// predecessor's finished profile reads, and the transport
+    /// arithmetic is per lane that of a one-lane march, so each lane's
+    /// solution is bitwise-equal to solving the ladder one point at a
+    /// time. A single solve is the one-lane case.
+    ///
+    /// Errors are those of the point-by-point sweep: the first lane (in
+    /// ladder order) that fails names the error. A failed lane stops
+    /// itself and every later lane (they start from its roots); earlier
+    /// lanes march on, since one of them may fail further downstream.
+    fn march(
         &self,
-        voltage: f64,
-        ctx: &SolveContext,
+        voltages: &[f64],
         hint: Option<&[f64]>,
-    ) -> Result<CellSolution, FlowCellError> {
-        if !(voltage >= 0.0 && voltage.is_finite()) {
-            return Err(FlowCellError::Infeasible(format!(
-                "terminal voltage must be non-negative and finite, got {voltage}"
-            )));
+        ctx: &SolveContext,
+    ) -> Result<Vec<CellSolution>, FlowCellError> {
+        let invalid = voltages.iter().position(|v| !(*v >= 0.0 && v.is_finite()));
+        let invalid_error = invalid.map(|bad| {
+            FlowCellError::Infeasible(format!(
+                "terminal voltage must be non-negative and finite, got {}",
+                voltages[bad]
+            ))
+        });
+        let ladder = &voltages[..invalid.unwrap_or(voltages.len())];
+        let lanes = ladder.len();
+        if lanes == 0 {
+            return invalid_error.map_or(Ok(Vec::new()), Err);
         }
         let nx = self.options.nx;
         let track = self.options.track_products;
-        let (mut anode, mut cathode) = self.marchers(ctx);
-        let mut current_density = Vec::with_capacity(nx);
-        let mut eta_anode = Vec::with_capacity(nx);
-        let mut eta_cathode = Vec::with_capacity(nx);
-        let mut clamped = 0usize;
+        let mut anode = ctx.coef.anode_proto.with_lanes(lanes);
+        let mut cathode = ctx.coef.cathode_proto.with_lanes(lanes);
+        let mut profiles: Vec<LaneProfile> = (0..lanes).map(|_| LaneProfile::new(nx)).collect();
+        let mut q_a = vec![0.0; lanes];
+        let mut q_c = vec![0.0; lanes];
+        // Lanes `[0, active)` are still marching; `failed` holds the
+        // error of the lowest failed lane (a later failure can only be
+        // a lower lane).
+        let mut active = lanes;
+        let mut failed: Option<FlowCellError> = None;
         let mut evaluations = 0u64;
-        let mut i_prev = 0.0;
+        let mut solves = 0u64;
+        let mut marched = 0u64;
 
         for (station, st) in ctx.coef.stations.iter().enumerate() {
-            let resp_a = anode.prepare_with(ctx.coef.anode.op(station))?;
-            let resp_c = cathode.prepare_with(ctx.coef.cathode.op(station))?;
-            // Surface concentrations move with the current density at
-            // these rates: the reactant is consumed and the product made
-            // at the wall flux `q = i/(n·F)`.
-            let dq_a = resp_a.sens * st.inv_nf_a;
-            let dq_c = resp_c.sens * st.inv_nf_c;
-            let eval = |i: f64| -> Result<StationEval, FlowCellError> {
-                let q_a = i * st.inv_nf_a;
-                let q_c = i * st.inv_nf_c;
-                let (c_ox_a, dc_ox_a) = if track {
-                    (resp_a.product_surface(q_a), dq_a)
-                } else {
-                    (resp_a.p0, 0.0)
-                };
-                let (eta_a, deta_a) = st.kin_a.overpotential_with_slope(
-                    i,
-                    SurfaceState {
-                        c_red: MolePerCubicMeter::new(resp_a.reactant_surface(q_a)),
-                        c_ox: MolePerCubicMeter::new(c_ox_a),
-                    },
-                    dc_ox_a,
-                    -dq_a,
-                )?;
-                // The cathode passes the current `−i`; its rates are per
-                // unit of that (cathodic) current density.
-                let (c_red_c, dc_red_c) = if track {
-                    (resp_c.product_surface(q_c), -dq_c)
-                } else {
-                    (resp_c.p0, 0.0)
-                };
-                let (eta_c, deta_c) = st.kin_c.overpotential_with_slope(
-                    -i,
-                    SurfaceState {
-                        c_ox: MolePerCubicMeter::new(resp_c.reactant_surface(q_c)),
-                        c_red: MolePerCubicMeter::new(c_red_c),
-                    },
-                    dq_c,
-                    dc_red_c,
-                )?;
-                Ok(StationEval {
-                    r: st.ocv - eta_a + eta_c - i * st.asr - voltage,
-                    dr: -deta_a - deta_c - st.asr,
-                    eta_a,
-                    eta_c,
-                })
-            };
-            let i_lim = (resp_a.q_max / st.inv_nf_a).min(resp_c.q_max / st.inv_nf_c);
-            let start = warm_start(hint, station, i_prev);
-            let root = solve_station(eval, start, i_lim, &mut evaluations)?;
-            if root.plateau {
-                clamped += 1;
+            if active == 0 {
+                break;
             }
-            anode.commit(root.i * st.inv_nf_a);
-            cathode.commit(root.i * st.inv_nf_c);
-            current_density.push(root.i);
-            eta_anode.push(root.eta_a);
-            eta_cathode.push(root.eta_c);
-            i_prev = root.i;
+            anode.prepare_with(ctx.coef.anode.op(station))?;
+            cathode.prepare_with(ctx.coef.cathode.op(station))?;
+            marched += active as u64;
+            for lane in 0..active {
+                let (done, rest) = profiles.split_at_mut(lane);
+                let lane_hint = done
+                    .last()
+                    .map_or(hint, |h| Some(h.current_density.as_slice()));
+                let own = &mut rest[0];
+                let i_prev = own.current_density.last().copied().unwrap_or(0.0);
+                let root = solve_lane_station(
+                    st,
+                    anode.response(lane),
+                    cathode.response(lane),
+                    track,
+                    ladder[lane],
+                    warm_start(lane_hint, station, i_prev),
+                    &mut evaluations,
+                );
+                match root {
+                    Ok(root) => {
+                        solves += 1;
+                        own.push(root);
+                        q_a[lane] = root.i * st.inv_nf_a;
+                        q_c[lane] = root.i * st.inv_nf_c;
+                    }
+                    Err(e) => {
+                        failed = Some(e);
+                        active = lane;
+                        break;
+                    }
+                }
+            }
+            anode.commit_lanes(&q_a);
+            cathode.commit_lanes(&q_c);
         }
-        ctx.counts.record(evaluations, nx as u64);
-
+        ctx.counts.record(evaluations, solves, marched);
+        if let Some(e) = failed.or(invalid_error) {
+            return Err(e);
+        }
         let height = self.geometry.channel().height().value();
-        let current: f64 = current_density.iter().sum::<f64>() * ctx.geo.dx * height;
-        Ok(CellSolution {
-            voltage: Volt::new(voltage),
-            current: Ampere::new(current),
-            current_density,
-            eta_anode,
-            eta_cathode,
-            electrode_area: self.geometry.electrode_area(),
-            transport_limited_stations: clamped,
-        })
+        Ok(ladder
+            .iter()
+            .zip(profiles)
+            .map(|(&voltage, p)| {
+                let current: f64 = p.current_density.iter().sum::<f64>() * ctx.geo.dx * height;
+                CellSolution {
+                    voltage: Volt::new(voltage),
+                    current: Ampere::new(current),
+                    current_density: p.current_density,
+                    eta_anode: p.eta_anode,
+                    eta_cathode: p.eta_cathode,
+                    electrode_area: self.geometry.electrode_area(),
+                    transport_limited_stations: p.clamped,
+                }
+            })
+            .collect())
     }
 
     /// Solves the cell at a fixed terminal voltage.
@@ -1170,24 +1225,53 @@ impl CellModel {
         self.solve_with_context(voltage, ctx)
     }
 
-    /// Solves a whole voltage ladder with one cached context, each point
-    /// warm-starting its station roots from the previous point's
-    /// current-density profile — the amortized path used by polarization
+    /// Solves a whole voltage ladder with one cached context in a single
+    /// lockstep march: all points advance station by station together,
+    /// each point starting its station roots from the previous point's
+    /// roots (its current-density profile shape) and sharing every
+    /// station's factored transport operators and multi-lane
+    /// back-substitution. Each solution is bitwise-equal to solving the
+    /// ladder one point at a time, hinting every point with its
+    /// predecessor's profile — the amortized path used by polarization
     /// sweeps and the sweep engines.
     ///
     /// # Errors
     ///
-    /// As [`CellModel::solve_at_voltage`].
+    /// As [`CellModel::solve_at_voltage`], for the first point of the
+    /// ladder that fails.
     pub fn sweep_at_voltages(&self, voltages: &[f64]) -> Result<Vec<CellSolution>, FlowCellError> {
         let ctx = self.context()?;
-        let mut out: Vec<CellSolution> = Vec::with_capacity(voltages.len());
-        let mut hint: Option<Vec<f64>> = None;
-        for &v in voltages {
-            let sol = self.solve_with_context_warm(v, ctx, hint.as_deref())?;
-            hint = Some(sol.current_density.clone());
-            out.push(sol);
+        self.march(voltages, None, ctx)
+    }
+
+    /// Continues a sweep from a solved operating point of this model:
+    /// solves `voltages` in one lockstep march like
+    /// [`CellModel::sweep_at_voltages`], with the first point
+    /// warm-started from `from`'s current-density profile the way every
+    /// later point is from its predecessor's. `continue_sweep(&a, &[v])`
+    /// therefore solves `v` exactly as a sweep solves the point after
+    /// `a`; solutions from different starting profiles agree to the
+    /// station residual tolerance, not bitwise.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowCellError::InvalidConfig`] if `from` has a different
+    /// number of stations; otherwise as
+    /// [`CellModel::sweep_at_voltages`].
+    pub fn continue_sweep(
+        &self,
+        from: &CellSolution,
+        voltages: &[f64],
+    ) -> Result<Vec<CellSolution>, FlowCellError> {
+        if from.current_density.len() != self.options.nx {
+            return Err(FlowCellError::InvalidConfig(format!(
+                "solution with {} stations cannot seed a march of {}",
+                from.current_density.len(),
+                self.options.nx
+            )));
         }
-        Ok(out)
+        let ctx = self.context()?;
+        self.march(voltages, Some(&from.current_density), ctx)
     }
 
     /// Solves the cell at a fixed delivered current by inverting the
@@ -1296,6 +1380,95 @@ struct StationRoot {
     eta_a: f64,
     eta_c: f64,
     plateau: bool,
+}
+
+/// One lane's solved station profile, filled station by station.
+#[derive(Debug)]
+struct LaneProfile {
+    current_density: Vec<f64>,
+    eta_anode: Vec<f64>,
+    eta_cathode: Vec<f64>,
+    clamped: usize,
+}
+
+impl LaneProfile {
+    fn new(nx: usize) -> Self {
+        Self {
+            current_density: Vec::with_capacity(nx),
+            eta_anode: Vec::with_capacity(nx),
+            eta_cathode: Vec::with_capacity(nx),
+            clamped: 0,
+        }
+    }
+
+    fn push(&mut self, root: StationRoot) {
+        self.current_density.push(root.i);
+        self.eta_anode.push(root.eta_a);
+        self.eta_cathode.push(root.eta_c);
+        if root.plateau {
+            self.clamped += 1;
+        }
+    }
+}
+
+/// Solves one lane's voltage balance at a prepared station from the two
+/// electrodes' affine surface responses, starting Newton at `start`.
+fn solve_lane_station(
+    st: &StationChem,
+    resp_a: StationResponse,
+    resp_c: StationResponse,
+    track: bool,
+    voltage: f64,
+    start: f64,
+    evaluations: &mut u64,
+) -> Result<StationRoot, FlowCellError> {
+    // Surface concentrations move with the current density at these
+    // rates: the reactant is consumed and the product made at the wall
+    // flux `q = i/(n·F)`.
+    let dq_a = resp_a.sens * st.inv_nf_a;
+    let dq_c = resp_c.sens * st.inv_nf_c;
+    let eval = |i: f64| -> Result<StationEval, FlowCellError> {
+        let q_a = i * st.inv_nf_a;
+        let q_c = i * st.inv_nf_c;
+        let (c_ox_a, dc_ox_a) = if track {
+            (resp_a.product_surface(q_a), dq_a)
+        } else {
+            (resp_a.p0, 0.0)
+        };
+        let (eta_a, deta_a) = st.kin_a.overpotential_with_slope(
+            i,
+            SurfaceState {
+                c_red: MolePerCubicMeter::new(resp_a.reactant_surface(q_a)),
+                c_ox: MolePerCubicMeter::new(c_ox_a),
+            },
+            dc_ox_a,
+            -dq_a,
+        )?;
+        // The cathode passes the current `−i`; its rates are per unit of
+        // that (cathodic) current density.
+        let (c_red_c, dc_red_c) = if track {
+            (resp_c.product_surface(q_c), -dq_c)
+        } else {
+            (resp_c.p0, 0.0)
+        };
+        let (eta_c, deta_c) = st.kin_c.overpotential_with_slope(
+            -i,
+            SurfaceState {
+                c_ox: MolePerCubicMeter::new(resp_c.reactant_surface(q_c)),
+                c_red: MolePerCubicMeter::new(c_red_c),
+            },
+            dq_c,
+            dc_red_c,
+        )?;
+        Ok(StationEval {
+            r: st.ocv - eta_a + eta_c - i * st.asr - voltage,
+            dr: -deta_a - deta_c - st.asr,
+            eta_a,
+            eta_c,
+        })
+    };
+    let i_lim = (resp_a.q_max / st.inv_nf_a).min(resp_c.q_max / st.inv_nf_c);
+    solve_station(eval, start, i_lim, evaluations)
 }
 
 /// Starting current density of `station`: the previous station's root

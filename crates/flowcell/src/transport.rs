@@ -16,7 +16,7 @@
 //! with Butler–Volmer kinetics without nested iteration.
 
 use crate::FlowCellError;
-use bright_num::tridiag::{TridiagonalFactorization, TridiagonalWorkspace};
+use bright_num::tridiag::TridiagonalFactorization;
 
 /// Affine response of a station's surface state to the wall molar flux
 /// `q` (mol/(m²·s), positive = reactant consumed at the wall):
@@ -54,15 +54,16 @@ impl StationResponse {
 /// Precomputed cross-stream operator for one `(velocity profile,
 /// diffusivity)` pair.
 ///
-/// The implicit diffusion operator of [`HalfCellMarcher::prepare`]
-/// depends only on the velocity profile, the grid spacings and the
-/// diffusivity — none of which change across the stations of an
-/// isothermal channel or across the voltage points of a polarization
-/// sweep. Factoring it once (and solving the flux-sensitivity system
-/// once, since that right-hand side is operator-determined too) turns
-/// each station visit into two back-substitutions instead of three full
-/// Thomas solves plus band assembly. This is the flow-cell counterpart
-/// of the sparse symbolic/numeric split in `bright-num`.
+/// The implicit diffusion operator of a marching station depends only
+/// on the velocity profile, the grid spacings and the diffusivity —
+/// none of which change across the stations of an isothermal channel or
+/// across the voltage points of a polarization sweep. Factoring it once
+/// (and solving the flux-sensitivity system once, since that
+/// right-hand side is operator-determined too) turns each station visit
+/// into one multi-lane back-substitution ([`HalfCellMarcher::prepare_with`])
+/// instead of full Thomas solves plus band assembly. This is the
+/// flow-cell counterpart of the sparse symbolic/numeric split in
+/// `bright-num`.
 #[derive(Debug, Clone)]
 pub struct TransportOp {
     fac: TridiagonalFactorization,
@@ -188,10 +189,31 @@ impl TransportOp {
     }
 }
 
-/// Marching transport solver for one electrolyte stream (half-channel).
+/// Marching transport solver for one electrolyte stream (half-channel),
+/// advancing one or more *lanes* in lockstep.
 ///
 /// The y-grid covers the half-width with `ny` cells; index 0 is adjacent
 /// to the electrode wall, index `ny−1` to the co-laminar interface.
+///
+/// A lane is one independent march through the same channel — one
+/// voltage point of a polarization sweep. Every lane sees the same
+/// station operators and differs only in the wall flux committed at
+/// each station, so all lanes' reactant and product fields live in one
+/// row-major `[ny][2·lanes]` buffer (row `j`: every lane's reactant,
+/// then every lane's product) and each station advances them with one
+/// multi-lane back-substitution
+/// ([`TridiagonalFactorization::solve_lanes_in_place`]). A marcher from
+/// [`HalfCellMarcher::new`] has one lane; [`HalfCellMarcher::with_lanes`]
+/// makes a fresh one with more. The single-lane methods
+/// ([`HalfCellMarcher::commit`], [`HalfCellMarcher::reactant`], …) are
+/// the one-lane case of the same code: they act on lane 0.
+///
+/// Between stations the buffer holds the last zero-flux advance and
+/// [`HalfCellMarcher::commit_lanes`] records each lane's flux; the next
+/// prepare applies it and stamps the right-hand side row by row inside
+/// the back-substitution, `max(zf − q·s, 0)·u/dx`, with the same
+/// operations in the same order as committing the profile and stamping
+/// it in passes of their own.
 #[derive(Debug, Clone)]
 pub struct HalfCellMarcher {
     ny: usize,
@@ -201,21 +223,24 @@ pub struct HalfCellMarcher {
     /// `u/dx` per cell: the advection coefficient of the implicit
     /// operator and the zero-flux right-hand-side scaling.
     advection: Vec<f64>,
-    reactant: Vec<f64>,
-    product: Vec<f64>,
-    // Station scratch state (filled by `prepare`).
-    r_zero_flux: Vec<f64>,
-    p_zero_flux: Vec<f64>,
+    c_reactant_in: f64,
+    c_product_in: f64,
+    lanes: usize,
+    /// Row-major `[ny][2·lanes]` lane buffer: the zero-flux advance of
+    /// the last prepared station (the inlet fill before the first).
+    rows: Vec<f64>,
+    /// Wall flux committed at the last prepared station, signed per
+    /// buffer column: `−q` on each lane's reactant, `+q` on its product
+    /// (`c + (−q)·s` is bitwise `c − q·s`).
+    flux: Vec<f64>,
+    /// Field response to a unit wall flux at the last prepared station.
     sensitivity: Vec<f64>,
-    station_d: f64,
-    ws: TridiagonalWorkspace,
-    lower: Vec<f64>,
-    diag: Vec<f64>,
-    upper: Vec<f64>,
+    /// Surface (wall-extrapolated) sensitivity of that station.
+    sens_surface: f64,
 }
 
 impl HalfCellMarcher {
-    /// Creates a marcher.
+    /// Creates a one-lane marcher.
     ///
     /// * `half_width` — stream width (m), electrode wall to interface,
     /// * `electrode_length` — marched length (m),
@@ -276,23 +301,56 @@ impl HalfCellMarcher {
             ));
         }
         let dx = electrode_length / nx as f64;
-        Ok(Self {
+        let marcher = Self {
             ny,
             dy: half_width / ny as f64,
             dx,
             advection: velocity.iter().map(|u| u / dx).collect(),
             velocity,
-            reactant: vec![c_reactant_in; ny],
-            product: vec![c_product_in; ny],
-            r_zero_flux: vec![0.0; ny],
-            p_zero_flux: vec![0.0; ny],
+            c_reactant_in,
+            c_product_in,
+            lanes: 0,
+            rows: Vec::new(),
+            flux: Vec::new(),
             sensitivity: vec![0.0; ny],
-            station_d: 0.0,
-            ws: TridiagonalWorkspace::new(ny),
-            lower: vec![0.0; ny - 1],
-            diag: vec![0.0; ny],
-            upper: vec![0.0; ny - 1],
-        })
+            sens_surface: 0.0,
+        };
+        Ok(marcher.with_lanes(1))
+    }
+
+    /// A fresh, inlet-filled marcher over the same channel and inlet
+    /// with `lanes` lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes == 0`.
+    #[must_use]
+    pub fn with_lanes(&self, lanes: usize) -> Self {
+        assert!(lanes > 0, "a marcher needs at least one lane");
+        let mut row = vec![self.c_reactant_in; 2 * lanes];
+        row[lanes..].fill(self.c_product_in);
+        Self {
+            ny: self.ny,
+            dy: self.dy,
+            dx: self.dx,
+            velocity: self.velocity.clone(),
+            advection: self.advection.clone(),
+            c_reactant_in: self.c_reactant_in,
+            c_product_in: self.c_product_in,
+            lanes,
+            rows: row.repeat(self.ny),
+            // A zero flux through a zero sensitivity leaves the inlet
+            // fill exactly as it is for the first stamp.
+            flux: vec![0.0; 2 * lanes],
+            sensitivity: vec![0.0; self.ny],
+            sens_surface: 0.0,
+        }
+    }
+
+    /// Number of lanes marched together.
+    #[inline]
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 
     /// Streamwise station spacing (m).
@@ -301,115 +359,58 @@ impl HalfCellMarcher {
         self.dx
     }
 
-    /// Current reactant profile (wall-first).
-    #[inline]
-    pub fn reactant(&self) -> &[f64] {
-        &self.reactant
+    /// Lane 0's committed reactant profile (wall-first). Between a
+    /// prepare and its commit this is the zero-flux advance.
+    pub fn reactant(&self) -> Vec<f64> {
+        self.committed(0)
     }
 
-    /// Current product profile (wall-first).
-    #[inline]
-    pub fn product(&self) -> &[f64] {
-        &self.product
+    /// Lane 0's committed product profile (wall-first).
+    pub fn product(&self) -> Vec<f64> {
+        self.committed(self.lanes)
     }
 
-    /// Convected reactant molar flow per unit channel height
+    /// The committed profile of buffer column `col`: the expression the
+    /// next stamp applies before its `u/dx` scaling.
+    fn committed(&self, col: usize) -> Vec<f64> {
+        let f = self.flux[col];
+        self.rows
+            .chunks_exact(2 * self.lanes)
+            .zip(&self.sensitivity)
+            .map(|(row, s)| (row[col] + f * s).max(0.0))
+            .collect()
+    }
+
+    /// Lane 0's convected reactant molar flow per unit channel height
     /// (mol/(m·s)): `Σ u_j·C_j·dy`. Used by conservation tests.
     pub fn convected_reactant_flux(&self) -> f64 {
         self.velocity
             .iter()
-            .zip(&self.reactant)
+            .zip(self.reactant())
             .map(|(u, c)| u * c)
             .sum::<f64>()
             * self.dy
     }
 
-    /// Prepares the next station with diffusivity `d`, returning the
-    /// affine surface response to the wall flux.
+    /// Prepares the next station with diffusivity `d`, building the
+    /// station operator on the spot, and returns lane 0's affine surface
+    /// response to the wall flux. Marches that revisit one operator use
+    /// [`HalfCellMarcher::prepare_with`] and a [`TransportOp`] built once.
     ///
     /// # Errors
     ///
     /// * [`FlowCellError::InvalidConfig`] for a non-positive diffusivity,
     /// * [`FlowCellError::Numerical`] if a tridiagonal solve fails.
     pub fn prepare(&mut self, d: f64) -> Result<StationResponse, FlowCellError> {
-        if !(d > 0.0 && d.is_finite()) {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "diffusivity must be positive, got {d}"
-            )));
-        }
-        let w = d / (self.dy * self.dy);
-        for j in 0..self.ny {
-            let mut diag = self.advection[j];
-            if j > 0 {
-                self.lower[j - 1] = -w;
-                diag += w;
-            }
-            if j + 1 < self.ny {
-                self.upper[j] = -w;
-                diag += w;
-            }
-            self.diag[j] = diag;
-        }
-        // Wall cells with u ~ 0 would make the zero-flux row singular-ish;
-        // the diffusion terms keep the diagonal positive for ny >= 2.
-
-        // Zero-flux advance of both species.
-        for ((rhs, c), w) in self
-            .r_zero_flux
-            .iter_mut()
-            .zip(&self.reactant)
-            .zip(&self.advection)
-        {
-            *rhs = c * w;
-        }
-        self.ws
-            .solve_in_place(&self.lower, &self.diag, &self.upper, &mut self.r_zero_flux)
-            .map_err(FlowCellError::from)?;
-
-        for ((rhs, c), w) in self
-            .p_zero_flux
-            .iter_mut()
-            .zip(&self.product)
-            .zip(&self.advection)
-        {
-            *rhs = c * w;
-        }
-        self.ws
-            .solve_in_place(&self.lower, &self.diag, &self.upper, &mut self.p_zero_flux)
-            .map_err(FlowCellError::from)?;
-
-        // Sensitivity: response to a unit wall flux (1 mol/(m^2 s) removed
-        // from the wall cell).
-        for s in self.sensitivity.iter_mut() {
-            *s = 0.0;
-        }
-        self.sensitivity[0] = 1.0 / self.dy;
-        self.ws
-            .solve_in_place(&self.lower, &self.diag, &self.upper, &mut self.sensitivity)
-            .map_err(FlowCellError::from)?;
-
-        self.station_d = d;
-        // Half-cell correction: extrapolate from the wall-cell center to
-        // the wall itself using the imposed flux gradient q/D over dy/2.
-        let sens_surface = self.sensitivity[0] + self.dy / (2.0 * d);
-        let r0_surf = self.r_zero_flux[0];
-        let p0_surf = self.p_zero_flux[0];
-        Ok(StationResponse {
-            r0: r0_surf,
-            p0: p0_surf,
-            sens: sens_surface,
-            q_max: if sens_surface > 0.0 {
-                r0_surf / sens_surface
-            } else {
-                f64::INFINITY
-            },
-        })
+        let op = TransportOp::new(&self.velocity, self.dx, self.dy, d)?;
+        self.prepare_with(&op)
     }
 
-    /// As [`HalfCellMarcher::prepare`], but against a precomputed
-    /// [`TransportOp`]: two back-substitutions, no band assembly, no
-    /// sensitivity solve. Produces the same response as `prepare` with
-    /// the operator's diffusivity (up to factorization round-off).
+    /// Advances every lane to the next station against a precomputed
+    /// [`TransportOp`]: one multi-lane back-substitution for both
+    /// species of all lanes, which applies the committed fluxes and
+    /// stamps each row's right-hand side as it goes. Returns lane 0's
+    /// response; [`HalfCellMarcher::response`] reads any lane's.
     ///
     /// The operator must have been built from this marcher's geometry
     /// *and velocity profile* (the profile is baked into the factored
@@ -437,44 +438,61 @@ impl HalfCellMarcher {
                 self.dx
             )));
         }
-        // Zero-flux advance of both species: two independent
-        // back-substitutions through one factorization, interleaved.
-        for j in 0..self.ny {
-            let w = self.advection[j];
-            self.r_zero_flux[j] = self.reactant[j] * w;
-            self.p_zero_flux[j] = self.product[j] * w;
-        }
+        let (flux, sensitivity, advection) = (&self.flux, &self.sensitivity, &self.advection);
         op.fac
-            .solve_pair_in_place(&mut self.r_zero_flux, &mut self.p_zero_flux)
+            .solve_lanes_in_place(&mut self.rows, 2 * self.lanes, |j, col, block| {
+                let (s, w) = (sensitivity[j], advection[j]);
+                let width = block.len();
+                for (c, f) in block.iter_mut().zip(&flux[col..col + width]) {
+                    *c = (*c + f * s).max(0.0) * w;
+                }
+            })
             .map_err(FlowCellError::from)?;
-
+        self.flux.fill(0.0);
         self.sensitivity.copy_from_slice(&op.sensitivity);
-        self.station_d = op.d;
-        let r0_surf = self.r_zero_flux[0];
-        let p0_surf = self.p_zero_flux[0];
-        Ok(StationResponse {
-            r0: r0_surf,
-            p0: p0_surf,
-            sens: op.sens_surface,
-            q_max: if op.sens_surface > 0.0 {
-                r0_surf / op.sens_surface
-            } else {
-                f64::INFINITY
-            },
-        })
+        self.sens_surface = op.sens_surface;
+        Ok(self.response(0))
     }
 
-    /// Commits the prepared station with the chosen wall flux `q`
-    /// (mol/(m²·s), positive = reactant consumed).
+    /// Affine surface response of `lane` at the prepared station.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if called before [`HalfCellMarcher::prepare`].
+    /// Panics if `lane >= self.lanes()`.
+    #[inline]
+    pub fn response(&self, lane: usize) -> StationResponse {
+        assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
+        let r0 = self.rows[lane];
+        let sens = self.sens_surface;
+        StationResponse {
+            r0,
+            p0: self.rows[self.lanes + lane],
+            sens,
+            q_max: if sens > 0.0 { r0 / sens } else { f64::INFINITY },
+        }
+    }
+
+    /// Commits lane 0's prepared station with the wall flux `q`
+    /// (mol/(m²·s), positive = reactant consumed) — the one-lane case of
+    /// [`HalfCellMarcher::commit_lanes`].
     pub fn commit(&mut self, q: f64) {
-        debug_assert!(self.station_d > 0.0, "commit before prepare");
-        for j in 0..self.ny {
-            self.reactant[j] = (self.r_zero_flux[j] - q * self.sensitivity[j]).max(0.0);
-            self.product[j] = (self.p_zero_flux[j] + q * self.sensitivity[j]).max(0.0);
+        self.commit_lanes(&[q]);
+    }
+
+    /// Commits the prepared station with one wall flux per lane
+    /// (mol/(m²·s), positive = reactant consumed); the next prepare
+    /// applies them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` does not hold exactly one flux per lane, and (debug)
+    /// if called before the first prepare.
+    pub fn commit_lanes(&mut self, q: &[f64]) {
+        debug_assert!(self.sens_surface > 0.0, "commit before prepare");
+        assert_eq!(q.len(), self.lanes, "one flux per lane");
+        let (reactant, product) = self.flux.split_at_mut(self.lanes);
+        for ((r, p), q) in reactant.iter_mut().zip(product).zip(q) {
+            (*r, *p) = (-q, *q);
         }
     }
 }
@@ -590,8 +608,9 @@ mod tests {
 
     #[test]
     fn prepare_with_matches_prepare() {
-        // The factored-operator path must reproduce the per-station
-        // assembly path over a full march with extraction.
+        // A marcher that builds each station's operator on the spot
+        // (`prepare`) must march exactly like one holding a prebuilt
+        // operator (`prepare_with`), over a full march with extraction.
         let d = 1.26e-10;
         let q = 3e-3;
         let mut a = uniform_marcher(48, 60);
@@ -601,48 +620,75 @@ mod tests {
         for station in 0..60 {
             let ra = a.prepare(d).unwrap();
             let rb = b.prepare_with(&op).unwrap();
-            assert!(
-                (ra.r0 - rb.r0).abs() < 1e-9 * ra.r0.abs().max(1.0),
-                "station {station}: r0 {} vs {}",
-                ra.r0,
-                rb.r0
-            );
-            assert!((ra.sens - rb.sens).abs() < 1e-9 * ra.sens);
+            assert_eq!(ra, rb, "station {station}");
             a.commit(q);
             b.commit(q);
         }
-        for (ca, cb) in a.reactant().iter().zip(b.reactant()) {
-            assert!((ca - cb).abs() < 1e-6, "{ca} vs {cb}");
-        }
+        assert_eq!(a.reactant(), b.reactant());
+        assert_eq!(a.product(), b.product());
     }
 
     #[test]
-    fn prepare_with_is_bitwise_two_single_back_substitutions() {
-        // The paired back-substitution must not change a bit of either
-        // species' zero-flux advance.
+    fn prepare_with_lanes_are_bitwise_single_back_substitutions() {
+        // Every lane of a multi-lane march must match, bit for bit, a
+        // reference march of that lane alone: stamp `c·u/dx`, one
+        // single-vector back-substitution per species, commit
+        // `max(zf ∓ q·s, 0)`. Lanes draw different fluxes (some strong
+        // enough to clamp the wall cell at zero) and the operator
+        // changes along the channel, as under a sampled temperature.
         let ny = 48;
+        let nx = 30;
         let velocity: Vec<f64> = (0..ny).map(|j| 0.2 + 0.05 * j as f64).collect();
-        let mut m = HalfCellMarcher::new(100e-6, 22e-3, 30, velocity.clone(), 2000.0, 1.0).unwrap();
-        let op = TransportOp::new(&velocity, m.dx(), 100e-6 / ny as f64, 2.1e-10).unwrap();
-        for station in 0..30 {
-            let mut r = m.reactant.clone();
-            let mut p = m.product.clone();
-            for ((r, p), u) in r.iter_mut().zip(p.iter_mut()).zip(&velocity) {
-                *r *= u / m.dx;
-                *p *= u / m.dx;
+        let one = HalfCellMarcher::new(100e-6, 22e-3, nx, velocity.clone(), 2000.0, 1.0).unwrap();
+        let dx = one.dx();
+        let ops: Vec<TransportOp> = [2.1e-10, 2.6e-10, 3.3e-10]
+            .iter()
+            .map(|&d| TransportOp::new(&velocity, dx, 100e-6 / ny as f64, d).unwrap())
+            .collect();
+        for lanes in [1usize, 2, 3, 16, 40] {
+            let mut m = one.with_lanes(lanes);
+            assert_eq!(m.lanes(), lanes);
+            let mut reference: Vec<(Vec<f64>, Vec<f64>)> =
+                vec![(vec![2000.0; ny], vec![1.0; ny]); lanes];
+            for station in 0..nx {
+                let op = &ops[station * ops.len() / nx];
+                m.prepare_with(op).unwrap();
+                let mut fluxes = Vec::with_capacity(lanes);
+                for (lane, (r, p)) in reference.iter_mut().enumerate() {
+                    let (mut zr, mut zp) = (r.clone(), p.clone());
+                    for ((zr, zp), u) in zr.iter_mut().zip(zp.iter_mut()).zip(&velocity) {
+                        *zr *= u / dx;
+                        *zp *= u / dx;
+                    }
+                    op.fac.solve_in_place(&mut zr).unwrap();
+                    op.fac.solve_in_place(&mut zp).unwrap();
+                    for j in 0..ny {
+                        let at = format!("lanes {lanes}, lane {lane}, station {station}");
+                        let row = &m.rows[j * 2 * lanes..(j + 1) * 2 * lanes];
+                        assert_eq!(row[lane].to_bits(), zr[j].to_bits(), "{at}");
+                        assert_eq!(row[lanes + lane].to_bits(), zp[j].to_bits(), "{at}");
+                    }
+                    let resp = m.response(lane);
+                    assert_eq!(resp.r0.to_bits(), zr[0].to_bits());
+                    assert_eq!(resp.p0.to_bits(), zp[0].to_bits());
+                    let q = 1e-3 * (1 + lane % 7) as f64 * if lane % 5 == 4 { 40.0 } else { 1.0 };
+                    for j in 0..ny {
+                        r[j] = (zr[j] - q * op.sensitivity[j]).max(0.0);
+                        p[j] = (zp[j] + q * op.sensitivity[j]).max(0.0);
+                    }
+                    fluxes.push(q);
+                }
+                m.commit_lanes(&fluxes);
             }
-            op.fac.solve_in_place(&mut r).unwrap();
-            op.fac.solve_in_place(&mut p).unwrap();
-            m.prepare_with(&op).unwrap();
+            // Lane 0's committed profiles read back exactly.
             for (a, b) in m
-                .r_zero_flux
+                .reactant()
                 .iter()
-                .zip(&r)
-                .chain(m.p_zero_flux.iter().zip(&p))
+                .zip(&reference[0].0)
+                .chain(m.product().iter().zip(&reference[0].1))
             {
-                assert_eq!(a.to_bits(), b.to_bits(), "station {station}");
+                assert_eq!(a.to_bits(), b.to_bits(), "lanes {lanes}");
             }
-            m.commit(2e-3);
         }
     }
 

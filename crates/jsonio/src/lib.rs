@@ -4,8 +4,9 @@
 //! build environment cannot fetch `serde`/`serde_json`, so this crate
 //! provides a small hand-rolled replacement: a [`Value`] tree, a
 //! recursive-descent [`Value::parse`] (nesting bounded by [`MAX_DEPTH`],
-//! so hostile input cannot exhaust the stack), and compact/pretty
-//! writers.
+//! so hostile input cannot exhaust the stack; size bounded by
+//! [`MAX_BYTES`], so it cannot exhaust memory either), a bounded file
+//! reader ([`read_document`]) and compact/pretty writers.
 //!
 //! Numbers are stored as `f64` and written with Rust's shortest
 //! round-trip float formatting, so `f64 -> JSON -> f64` is exact.
@@ -51,6 +52,14 @@ pub enum Value {
 /// nest a handful of levels.
 pub const MAX_DEPTH: usize = 128;
 
+/// Largest document, in bytes, [`Value::parse`] and [`read_document`]
+/// accept: 64 MiB. The largest document the scenario service writes is
+/// a steady `power7_nominal` report of about 315 KB, so the bound
+/// leaves 200x headroom, enough for the checkpoint of a thermal grid of
+/// a million cells (about 47 MB), while a hostile or runaway file is
+/// refused before it is read into memory.
+pub const MAX_BYTES: usize = 64 << 20;
+
 /// What kind of failure a [`JsonError`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JsonErrorKind {
@@ -59,6 +68,9 @@ pub enum JsonErrorKind {
     /// Arrays/objects nest deeper than [`MAX_DEPTH`]; the offset is the
     /// bracket that crossed the limit.
     TooDeep,
+    /// The document is longer than [`MAX_BYTES`]; the offset is
+    /// `MAX_BYTES`, the first byte beyond the limit.
+    TooLarge,
     /// Well-formed JSON that is not a valid checksummed envelope:
     /// missing or mistyped fields, or a digest mismatch.
     Envelope,
@@ -171,10 +183,15 @@ impl Value {
     /// # Errors
     ///
     /// Returns [`JsonError`] with a byte offset on malformed input
-    /// ([`JsonErrorKind::Syntax`]) or on nesting deeper than
-    /// [`MAX_DEPTH`] ([`JsonErrorKind::TooDeep`]).
+    /// ([`JsonErrorKind::Syntax`]), on nesting deeper than
+    /// [`MAX_DEPTH`] ([`JsonErrorKind::TooDeep`]) or, before any
+    /// parsing, on text longer than [`MAX_BYTES`]
+    /// ([`JsonErrorKind::TooLarge`]).
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let bytes = text.as_bytes();
+        if bytes.len() > MAX_BYTES {
+            return Err(too_large());
+        }
         let mut pos = 0usize;
         let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
@@ -199,6 +216,42 @@ impl Value {
         write_value(self, &mut out, Some(2), 0);
         out
     }
+}
+
+fn too_large() -> JsonError {
+    JsonError::new(
+        JsonErrorKind::TooLarge,
+        MAX_BYTES,
+        format!("document longer than {MAX_BYTES} bytes"),
+    )
+}
+
+/// Reads a UTF-8 document from `path`, reading at most
+/// [`MAX_BYTES`]` + 1` bytes however large the file is.
+///
+/// # Errors
+///
+/// [`JsonErrorKind::TooLarge`] for a file longer than [`MAX_BYTES`];
+/// [`JsonErrorKind::Io`] when the file cannot be read or is not UTF-8.
+pub fn read_document(path: &std::path::Path) -> Result<String, JsonError> {
+    use std::io::Read;
+    let io = |e: std::io::Error| {
+        JsonError::new(
+            JsonErrorKind::Io,
+            0,
+            format!("read {}: {e}", path.display()),
+        )
+    };
+    let mut text = String::new();
+    std::fs::File::open(path)
+        .map_err(io)?
+        .take(MAX_BYTES as u64 + 1)
+        .read_to_string(&mut text)
+        .map_err(io)?;
+    if text.len() > MAX_BYTES {
+        return Err(too_large());
+    }
+    Ok(text)
 }
 
 fn err(offset: usize, message: &str) -> JsonError {
@@ -552,18 +605,12 @@ pub mod checksummed {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] when the file is unreadable, torn or corrupted
-    /// (I/O errors are folded into the message — callers treat every
-    /// failure mode as "document not trustworthy").
+    /// [`JsonError`] when the file is unreadable, longer than
+    /// [`crate::MAX_BYTES`] (read no further than one byte past the
+    /// limit), torn or corrupted — callers treat every failure mode as
+    /// "document not trustworthy".
     pub fn read_verified(path: &Path) -> Result<Value, JsonError> {
-        let text = fs::read_to_string(path).map_err(|e| {
-            JsonError::new(
-                JsonErrorKind::Io,
-                0,
-                format!("read {}: {e}", path.display()),
-            )
-        })?;
-        parse(&text)
+        parse(&crate::read_document(path)?)
     }
 
     fn envelope_error(message: impl Into<String>) -> JsonError {
@@ -665,6 +712,57 @@ mod tests {
             Value::parse("[1,]").unwrap_err().kind,
             JsonErrorKind::Syntax
         );
+    }
+
+    #[test]
+    fn documents_beyond_the_size_limit_are_a_typed_error() {
+        // Exactly at the limit parses; one byte over is refused before
+        // parsing, even when the text would not parse at all.
+        let at_limit = format!("{}null", " ".repeat(MAX_BYTES - 4));
+        assert_eq!(at_limit.len(), MAX_BYTES);
+        assert_eq!(Value::parse(&at_limit).unwrap(), Value::Null);
+        let over = format!("{at_limit} ");
+        let e = Value::parse(&over).unwrap_err();
+        assert_eq!(
+            (e.kind, e.offset),
+            (JsonErrorKind::TooLarge, MAX_BYTES),
+            "{e}"
+        );
+        let garbage = "{".repeat(MAX_BYTES + 1);
+        assert_eq!(
+            Value::parse(&garbage).unwrap_err().kind,
+            JsonErrorKind::TooLarge
+        );
+    }
+
+    #[test]
+    fn file_readers_stop_one_byte_past_the_size_limit() {
+        let dir = std::env::temp_dir().join(format!("bright_jsonio_size{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        // Sparse files: a length without the disk blocks behind it.
+        let sized = |len: u64| std::fs::File::create(&path).unwrap().set_len(len).unwrap();
+        sized(MAX_BYTES as u64);
+        assert_eq!(read_document(&path).unwrap().len(), MAX_BYTES);
+        sized(MAX_BYTES as u64 + 1);
+        assert_eq!(
+            read_document(&path).unwrap_err().kind,
+            JsonErrorKind::TooLarge
+        );
+        // A file far beyond the limit fails the same way, without being
+        // read: the reader takes at most MAX_BYTES + 1 bytes.
+        sized(1 << 40);
+        assert_eq!(
+            read_document(&path).unwrap_err().kind,
+            JsonErrorKind::TooLarge
+        );
+        assert_eq!(
+            checksummed::read_verified(&path).unwrap_err().kind,
+            JsonErrorKind::TooLarge
+        );
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(read_document(&path).unwrap_err().kind, JsonErrorKind::Io);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

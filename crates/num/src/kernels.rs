@@ -14,10 +14,11 @@
 //!   by **nnz** rather than row count).
 //! * [`KernelSpec`] is the declarative selector carried by
 //!   [`crate::solvers::IterOptions`] (and so by every
-//!   [`crate::session::SolverSession`]): `Auto` picks `Threaded` above
-//!   a size threshold on multi-core hosts (and never inside a sweep
-//!   fan-out worker — see [`crate::parallel`]), `Blocked` for
-//!   mid-sized systems and `Scalar` below; `Fixed` pins a backend.
+//!   [`crate::session::SolverSession`]): `Auto` picks `Blocked` for
+//!   all but the smallest systems and `Scalar` below (never `Threaded`:
+//!   on the hosts measured, the threaded backend is slower than
+//!   `Blocked` at every size this workspace solves); `Fixed` pins a
+//!   backend.
 //!   The `BRIGHT_KERNEL_BACKEND` environment variable
 //!   (`scalar`/`blocked`/`threaded`/`auto`) overrides both.
 //! * [`KernelPool`] keeps its workers parked on a condvar between
@@ -81,9 +82,9 @@ impl std::fmt::Display for Backend {
 /// drives the whole test suite down each code path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelSpec {
-    /// Size- and host-aware choice: `Threaded` for large systems on
-    /// multi-core hosts (never inside a sweep fan-out worker),
-    /// `Blocked` for mid-sized systems, `Scalar` below.
+    /// Size-aware choice: `Blocked` at or above
+    /// [`AUTO_BLOCKED_MIN_NNZ`] stored entries, `Scalar` below. `Auto`
+    /// never picks `Threaded`; request it with `Fixed`.
     #[default]
     Auto,
     /// Always use the given backend.
@@ -92,28 +93,6 @@ pub enum KernelSpec {
 
 /// `Auto` resolves to `Blocked` at or above this nnz.
 pub const AUTO_BLOCKED_MIN_NNZ: usize = 1_024;
-/// Default nnz at or above which `Auto` resolves to `Threaded`
-/// (multi-core hosts, outside sweep fan-out workers). The
-/// `BRIGHT_KERNEL_AUTO_NNZ` environment variable overrides it at
-/// runtime — see [`auto_threaded_min_nnz`].
-pub const AUTO_THREADED_MIN_NNZ: usize = 50_000;
-
-/// The effective `Auto` → `Threaded` nnz threshold:
-/// `BRIGHT_KERNEL_AUTO_NNZ` when set to a positive integer (read once
-/// per process), otherwise [`AUTO_THREADED_MIN_NNZ`]. Lets deployments
-/// tune the crossover for their core count / memory bandwidth without
-/// rebuilding.
-#[must_use]
-pub fn auto_threaded_min_nnz() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("BRIGHT_KERNEL_AUTO_NNZ")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(AUTO_THREADED_MIN_NNZ)
-    })
-}
 
 impl KernelSpec {
     /// Parses a spec name (`scalar`/`blocked`/`threaded`/`auto`),
@@ -135,21 +114,14 @@ impl KernelSpec {
         env_override().unwrap_or(self)
     }
 
-    /// Resolves the backend for an operator of the given shape
-    /// (`rows` rows, `nnz` stored entries), applying the environment
-    /// override first.
+    /// Resolves the backend for an operator with `nnz` stored entries,
+    /// applying the environment override first.
     #[must_use]
-    pub fn resolve(self, rows: usize, nnz: usize) -> Backend {
+    pub fn resolve(self, nnz: usize) -> Backend {
         match self.effective() {
             Self::Fixed(b) => b,
             Self::Auto => {
-                if nnz >= auto_threaded_min_nnz()
-                    && rows >= 2
-                    && hardware_threads() >= 2
-                    && !crate::parallel::in_fanout_worker()
-                {
-                    Backend::Threaded
-                } else if nnz >= AUTO_BLOCKED_MIN_NNZ {
+                if nnz >= AUTO_BLOCKED_MIN_NNZ {
                     Backend::Blocked
                 } else {
                     Backend::Scalar
@@ -183,8 +155,8 @@ pub fn hardware_threads() -> usize {
 /// `BRIGHT_KERNEL_THREADS` when set, otherwise
 /// `max(2, available_parallelism)`. The floor of two keeps the
 /// threaded code paths honest on single-core hosts when a threaded
-/// backend is explicitly requested; `Auto` never picks `Threaded`
-/// there, so the floor costs nothing in production.
+/// backend is explicitly requested; `Auto` never picks `Threaded`, so
+/// the floor costs nothing in production.
 #[must_use]
 pub fn kernel_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
@@ -824,20 +796,18 @@ mod tests {
             return;
         }
         assert_eq!(
-            KernelSpec::Fixed(Backend::Threaded).resolve(4, 16),
+            KernelSpec::Fixed(Backend::Threaded).resolve(16),
             Backend::Threaded
         );
-        assert_eq!(KernelSpec::Auto.resolve(4, 16), Backend::Scalar);
+        assert_eq!(KernelSpec::Auto.resolve(16), Backend::Scalar);
         assert_eq!(
-            KernelSpec::Auto.resolve(1_000, AUTO_BLOCKED_MIN_NNZ),
+            KernelSpec::Auto.resolve(AUTO_BLOCKED_MIN_NNZ),
             Backend::Blocked
         );
-        let big = KernelSpec::Auto.resolve(100_000, AUTO_THREADED_MIN_NNZ);
-        if hardware_threads() >= 2 {
-            assert_eq!(big, Backend::Threaded);
-        } else {
-            assert_eq!(big, Backend::Blocked);
-        }
+        // Large systems stay on `Blocked` on any host: the threaded
+        // backend is only ever an explicit request.
+        assert_eq!(KernelSpec::Auto.resolve(100_000), Backend::Blocked);
+        assert_eq!(KernelSpec::Auto.resolve(10_000_000), Backend::Blocked);
     }
 
     #[test]

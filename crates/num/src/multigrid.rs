@@ -682,7 +682,7 @@ impl MultigridPrecond {
             let (lo, hi) = self.levels.split_at_mut(l + 1);
             let level = &mut lo[l];
             let next = &mut hi[0];
-            let backend = kernel.resolve(level.a.rows(), level.a.nnz());
+            let backend = kernel.resolve(level.a.nnz());
             level.x.fill(0.0);
             for _ in 0..pre {
                 smooth(level, smoother, degree, backend);
@@ -718,7 +718,7 @@ impl MultigridPrecond {
                 .as_ref()
                 .expect("non-coarsest level always has a transfer pair");
             prolong_add(transfer, layers, &next.x, &mut level.x);
-            let backend = kernel.resolve(level.a.rows(), level.a.nnz());
+            let backend = kernel.resolve(level.a.nnz());
             for _ in 0..post {
                 smooth(level, smoother, degree, backend);
             }

@@ -14,16 +14,15 @@ use std::sync::Mutex;
 
 thread_local! {
     /// True on threads spawned by [`parallel_map_indexed`] — the sweep
-    /// fan-out workers. The kernel layer's `Auto` backend policy
-    /// ([`crate::kernels::KernelSpec`]) consults this to avoid nesting
-    /// a threaded matvec inside an already-parallel sweep
-    /// (oversubscription); explicitly fixed backends are unaffected.
+    /// fan-out workers. The kernel layer's `Auto` backend policy never
+    /// picks the threaded backend, so no default path nests threads;
+    /// an explicitly fixed threaded backend is not checked against it.
     static IN_FANOUT_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// True when the calling thread is a sweep fan-out worker (see
-/// [`parallel_map_indexed`]). Used by the `Auto` kernel backend policy
-/// to keep one level of parallelism at a time.
+/// [`parallel_map_indexed`]), for callers that want to keep one level
+/// of parallelism at a time.
 #[must_use]
 pub fn in_fanout_worker() -> bool {
     IN_FANOUT_WORKER.with(Cell::get)

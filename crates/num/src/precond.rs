@@ -279,51 +279,16 @@ impl Preconditioner for IdentityPrecond {
 
 pub(crate) const TINY_DIAGONAL: f64 = f64::MIN_POSITIVE * 16.0;
 
-/// Minimum mean level width *per pool worker* before the `Auto` policy
-/// considers a level-scheduled sweep worthwhile (below this, the
-/// per-level barrier dominates the level's arithmetic).
-const SWEEP_MIN_WIDTH_PER_WORKER: usize = 64;
-
-/// Common gate for the level-scheduled sweep paths: explicit
-/// `Fixed(Threaded)` always qualifies (given a multi-worker pool);
-/// `Auto` qualifies on large systems, on multi-core hosts, outside
-/// sweep fan-out workers — callers add their own level-width check.
-fn sweep_wants_threads(kernel: KernelSpec, rows: usize, work: usize) -> bool {
+/// Gate of the level-scheduled sweep paths: only an explicit
+/// `Fixed(Threaded)` takes them (given a multi-worker pool); `Auto`
+/// never resolves to the threaded backend.
+fn sweep_wants_threads(kernel: KernelSpec, rows: usize) -> bool {
     // `kernel_threads()` is the pool's size policy; reading it (unlike
     // `global_pool()`) does not spawn the pool when the leveled path
     // ends up rejected.
-    match kernel.effective() {
-        KernelSpec::Fixed(Backend::Threaded) => rows >= 2 && kernels::kernel_threads() > 1,
-        KernelSpec::Auto => {
-            work >= kernels::auto_threaded_min_nnz()
-                && rows >= 2
-                && kernels::hardware_threads() >= 2
-                && !crate::parallel::in_fanout_worker()
-                && kernels::kernel_threads() > 1
-        }
-        KernelSpec::Fixed(_) => false,
-    }
-}
-
-/// Shared tail of the leveled-sweep decision: an explicit
-/// `Fixed(Threaded)` always takes the leveled path; `Auto`
-/// additionally requires levels wide enough (per pool worker) that the
-/// per-level barrier does not dominate the level's arithmetic.
-fn leveled_policy(
-    kernel: KernelSpec,
-    fwd: Option<&LevelSchedule>,
-    bwd: Option<&LevelSchedule>,
-) -> bool {
-    match kernel.effective() {
-        KernelSpec::Fixed(Backend::Threaded) => true,
-        _ => {
-            let workers = kernels::kernel_threads() as f64;
-            let wide = |s: Option<&LevelSchedule>| {
-                s.is_some_and(|s| s.mean_width() >= SWEEP_MIN_WIDTH_PER_WORKER as f64 * workers)
-            };
-            wide(fwd) && wide(bwd)
-        }
-    }
+    kernel.effective() == KernelSpec::Fixed(Backend::Threaded)
+        && rows >= 2
+        && kernels::kernel_threads() > 1
 }
 
 /// Diagonal (Jacobi) scaling: `M = diag(A)`.
@@ -452,12 +417,11 @@ impl SsorPrecond {
 
     /// Decides (and prepares for) the level-scheduled parallel sweep.
     fn use_leveled(&mut self, n: usize) -> bool {
-        if !sweep_wants_threads(self.kernel, n, self.lower.val.len() + self.upper.val.len() + n)
-        {
+        if !sweep_wants_threads(self.kernel, n) {
             return false;
         }
         self.ensure_levels();
-        leveled_policy(self.kernel, self.fwd_levels.as_ref(), self.bwd_levels.as_ref())
+        true
     }
 
     /// Level-scheduled SSOR application: forward sweep, diagonal
@@ -710,12 +674,12 @@ impl Ic0Precond {
 
     /// Decides (and prepares for) the level-scheduled solves.
     fn use_leveled(&mut self, n: usize) -> bool {
-        if !sweep_wants_threads(self.kernel, n, self.val.len()) {
+        if !sweep_wants_threads(self.kernel, n) {
             return false;
         }
         self.ensure_transpose();
         self.ensure_levels();
-        leveled_policy(self.kernel, self.fwd_levels.as_ref(), self.bwd_levels.as_ref())
+        true
     }
 
     /// Level-scheduled `L·y = src`, then `Lᵀ·dst = y` via the

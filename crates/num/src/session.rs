@@ -752,7 +752,7 @@ impl SolverSession {
                         }
                         self.last_rung = rung;
                         let backend =
-                            self.opts.kernel.resolve(self.matrix.rows(), self.matrix.nnz());
+                            self.opts.kernel.resolve(self.matrix.nnz());
                         self.stats.last_backend = backend;
                         self.stats.kernel_threads = if backend == Backend::Threaded {
                             u32::try_from(kernels::global_pool().threads()).unwrap_or(u32::MAX)

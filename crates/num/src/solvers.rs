@@ -321,7 +321,7 @@ pub fn conjugate_gradient_preconditioned(
             relative_residual: 0.0,
         });
     }
-    let backend = opts.kernel.resolve(a.rows(), a.nnz());
+    let backend = opts.kernel.resolve(a.nnz());
     m.set_kernel(opts.kernel);
     ws.resize_cg(n);
     let r = &mut ws.r;
@@ -444,7 +444,7 @@ pub fn bicgstab_preconditioned(
             relative_residual: 0.0,
         });
     }
-    let backend = opts.kernel.resolve(a.rows(), a.nnz());
+    let backend = opts.kernel.resolve(a.nnz());
     m.set_kernel(opts.kernel);
     ws.resize_bicgstab(n);
     let r = &mut ws.r;

@@ -3,7 +3,9 @@
 //! The streamwise marching solver in `bright-flowcell` performs one
 //! implicit cross-stream diffusion solve per axial station; each solve is a
 //! tridiagonal system, making this kernel the hottest numerical path of the
-//! polarization sweeps.
+//! polarization sweeps. A sweep solves all its voltage points' systems at
+//! a station together through one factorization
+//! ([`TridiagonalFactorization::solve_lanes_in_place`]).
 
 use crate::NumError;
 
@@ -316,45 +318,109 @@ impl TridiagonalFactorization {
         Ok(())
     }
 
-    /// Solves two right-hand sides against the same factorization, in
-    /// place. Each substitution is a serial dependency chain, so
-    /// interleaving two independent chains row by row roughly halves
-    /// their combined latency. The arithmetic per vector is exactly that
-    /// of [`TridiagonalFactorization::solve_in_place`], so the results
-    /// are bitwise-equal to two separate solves.
+    /// Solves `lanes` right-hand sides against the same factorization,
+    /// in place. `x` is row-major `[n][lanes]`: row `i` holds entry `i`
+    /// of every lane. Each substitution is a serial dependency chain
+    /// down the rows, so a single solve waits on the previous row's
+    /// result at every step. The lanes' chains are independent: the
+    /// kernel advances a block of lanes per row step, which the
+    /// optimizer vectorizes and whose chains overlap in the pipeline.
+    /// The arithmetic per lane is exactly that of
+    /// [`TridiagonalFactorization::solve_in_place`] (no fused
+    /// multiply-add is formed), so every lane is bitwise-equal to a
+    /// separate single solve.
+    ///
+    /// `stamp(i, col, block)` forms right-hand-side entries in place
+    /// just before the kernel eliminates them: `block` holds lanes
+    /// `col..col + block.len()` of row `i`, and every entry is stamped
+    /// exactly once. Forming the right-hand side inside the elimination
+    /// saves a separate pass over `x`; pass `|_, _, _| {}` when `x`
+    /// already holds it.
     ///
     /// # Errors
     ///
-    /// Returns [`NumError::DimensionMismatch`] if either vector's length
-    /// differs from `self.len()`.
-    pub fn solve_pair_in_place(&self, x: &mut [f64], y: &mut [f64]) -> Result<(), NumError> {
+    /// Returns [`NumError::DimensionMismatch`] if `x.len()` differs from
+    /// `self.len() · lanes`.
+    pub fn solve_lanes_in_place(
+        &self,
+        x: &mut [f64],
+        lanes: usize,
+        mut stamp: impl FnMut(usize, usize, &mut [f64]),
+    ) -> Result<(), NumError> {
         let n = self.len();
-        if x.len() != n || y.len() != n {
+        if x.len() != n * lanes {
             return Err(NumError::DimensionMismatch(format!(
-                "rhs lengths ({}, {}) != factored system size {n}",
-                x.len(),
-                y.len()
+                "{} entries for {lanes} lanes of factored system size {n}",
+                x.len()
             )));
         }
-        x[0] *= self.inv_beta[0];
-        y[0] *= self.inv_beta[0];
-        for i in 1..n {
-            let (l, b) = (self.lower[i - 1], self.inv_beta[i]);
-            x[i] = (x[i] - l * x[i - 1]) * b;
-            y[i] = (y[i] - l * y[i - 1]) * b;
+        // Blocks of 16 lanes, then at most one of 8 and one of the
+        // rest. A block's running row lives in a fixed-size array, which
+        // the optimizer keeps in vector registers.
+        let stamp = &mut stamp;
+        let mut col = 0;
+        while lanes - col >= 16 {
+            self.substitute_block::<16>(x, lanes, col, stamp);
+            col += 16;
         }
-        for i in (0..n - 1).rev() {
-            let c = self.c_prime[i];
-            let (xn, yn) = (x[i + 1], y[i + 1]);
-            x[i] -= c * xn;
-            y[i] -= c * yn;
+        if lanes - col >= 8 {
+            self.substitute_block::<8>(x, lanes, col, stamp);
+            col += 8;
+        }
+        match lanes - col {
+            0 => {}
+            1 => self.substitute_block::<1>(x, lanes, col, stamp),
+            2 => self.substitute_block::<2>(x, lanes, col, stamp),
+            3 => self.substitute_block::<3>(x, lanes, col, stamp),
+            4 => self.substitute_block::<4>(x, lanes, col, stamp),
+            5 => self.substitute_block::<5>(x, lanes, col, stamp),
+            6 => self.substitute_block::<6>(x, lanes, col, stamp),
+            7 => self.substitute_block::<7>(x, lanes, col, stamp),
+            _ => unreachable!("fewer than 8 lanes remain"),
         }
         Ok(())
+    }
+
+    /// Stamps, then forward- and back-substitutes the `W` lanes starting
+    /// at column `col` of the row-major `[n][lanes]` buffer `x`.
+    fn substitute_block<const W: usize>(
+        &self,
+        x: &mut [f64],
+        lanes: usize,
+        col: usize,
+        stamp: &mut impl FnMut(usize, usize, &mut [f64]),
+    ) {
+        let n = self.len();
+        let mut carry = [0.0; W];
+        let row = |i: usize| i * lanes + col..i * lanes + col + W;
+        let first = &mut x[row(0)];
+        stamp(0, col, first);
+        for (v, c) in first.iter_mut().zip(carry.iter_mut()) {
+            *v *= self.inv_beta[0];
+            *c = *v;
+        }
+        for i in 1..n {
+            let (l, b) = (self.lower[i - 1], self.inv_beta[i]);
+            let block = &mut x[row(i)];
+            stamp(i, col, block);
+            for (v, c) in block.iter_mut().zip(carry.iter_mut()) {
+                *v = (*v - l * *c) * b;
+                *c = *v;
+            }
+        }
+        for i in (0..n - 1).rev() {
+            let c_i = self.c_prime[i];
+            for (v, c) in x[row(i)].iter_mut().zip(carry.iter_mut()) {
+                *v -= c_i * *c;
+                *c = *v;
+            }
+        }
     }
 }
 
 /// Workspace-reusing Thomas solver for repeated solves of same-sized
-/// systems (the marching solver calls this once per axial station).
+/// systems whose bands change between solves (a fixed operator is
+/// cheaper as a [`TridiagonalFactorization`]).
 ///
 /// Unlike [`TridiagonalSystem::solve`], no allocations are made after
 /// construction.

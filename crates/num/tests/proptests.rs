@@ -185,11 +185,13 @@ proptest! {
     }
 
     #[test]
-    fn paired_tridiagonal_solve_is_bitwise_two_single_solves(
+    fn lane_tridiagonal_solve_is_bitwise_single_solves(
         n in 1usize..201,
+        lanes in 1usize..41,
         seed in 0u64..1000,
     ) {
-        // Random diagonally dominant bands, two random right-hand sides.
+        // Random diagonally dominant bands, `lanes` random right-hand
+        // sides of mixed scale.
         let lower: Vec<f64> = (0..n - 1).map(|i| lcg(seed, i as u64, 11) * 2.0).collect();
         let upper: Vec<f64> = (0..n - 1).map(|i| lcg(seed, i as u64, 13) * 2.0).collect();
         let diag: Vec<f64> = (0..n)
@@ -200,19 +202,46 @@ proptest! {
             })
             .collect();
         let fac = TridiagonalFactorization::factor(&lower, &diag, &upper).unwrap();
-        let x0: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 19) * 1e3).collect();
-        let y0: Vec<f64> = (0..n).map(|i| lcg(seed, i as u64, 23) * 1e-3).collect();
-        let (mut x1, mut y1) = (x0.clone(), y0.clone());
-        fac.solve_in_place(&mut x1).unwrap();
-        fac.solve_in_place(&mut y1).unwrap();
-        let (mut x2, mut y2) = (x0, y0);
-        fac.solve_pair_in_place(&mut x2, &mut y2).unwrap();
-        for (a, b) in x1.iter().zip(&x2).chain(y1.iter().zip(&y2)) {
+        let rhs: Vec<Vec<f64>> = (0..lanes)
+            .map(|l| {
+                let scale = 10f64.powi(l as i32 % 7 - 3);
+                (0..n).map(|i| lcg(seed, (i * lanes + l) as u64, 19) * scale).collect()
+            })
+            .collect();
+        // Row-major [n][lanes] lane buffer.
+        let mut x: Vec<f64> = (0..n * lanes).map(|k| rhs[k % lanes][k / lanes]).collect();
+        fac.solve_lanes_in_place(&mut x, lanes, |_, _, _| {}).unwrap();
+        for (l, b) in rhs.iter().enumerate() {
+            let mut single = b.clone();
+            fac.solve_in_place(&mut single).unwrap();
+            for (i, s) in single.iter().enumerate() {
+                prop_assert_eq!(s.to_bits(), x[i * lanes + l].to_bits());
+            }
+        }
+        // Stamping inside the solve equals stamping first: every entry
+        // is stamped once, with its own row and lane.
+        let scale = |i: usize, l: usize| 1.0 + 0.25 * ((i + 3 * l) % 5) as f64;
+        let mut stamped: Vec<f64> = (0..n * lanes)
+            .map(|k| rhs[k % lanes][k / lanes] * scale(k / lanes, k % lanes))
+            .collect();
+        fac.solve_lanes_in_place(&mut stamped, lanes, |_, _, _| {}).unwrap();
+        let mut raw: Vec<f64> = (0..n * lanes).map(|k| rhs[k % lanes][k / lanes]).collect();
+        let mut visits = vec![0u32; n * lanes];
+        fac.solve_lanes_in_place(&mut raw, lanes, |i, col, block| {
+            for (k, v) in block.iter_mut().enumerate() {
+                *v *= scale(i, col + k);
+                visits[i * lanes + col + k] += 1;
+            }
+        })
+        .unwrap();
+        prop_assert!(visits.iter().all(|&v| v == 1));
+        for (a, b) in raw.iter().zip(&stamped) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-        // A length mismatch on either side is rejected.
-        let mut short = vec![0.0; n + 1];
-        prop_assert!(fac.solve_pair_in_place(&mut x2, &mut short).is_err());
+        // A buffer that is not n·lanes long is rejected.
+        let mut long = vec![0.0; n * lanes + 1];
+        prop_assert!(fac.solve_lanes_in_place(&mut long, lanes, |_, _, _| {}).is_err());
+        prop_assert!(fac.solve_lanes_in_place(&mut x, lanes + 1, |_, _, _| {}).is_err());
     }
 
     #[test]

@@ -126,7 +126,8 @@ fn open(opts: &Options) -> Result<ScenarioService, CliError> {
 }
 
 fn read_spec(path: &str) -> Result<JobSpec, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
+    let text = bright_jsonio::read_document(std::path::Path::new(path))
+        .map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
     JobSpec::from_json_str(&text).map_err(|e| CliError::Failed(format!("{path}: {e}")))
 }
 

@@ -690,8 +690,7 @@ impl ThermalModel {
     /// As [`ThermalModel::session`] with an explicit kernel-backend
     /// selection (see [`bright_num::KernelSpec`]) — benches pin the
     /// scalar/blocked/threaded paths this way; production callers keep
-    /// `Auto`, which picks the threaded matvec on large grids and
-    /// multi-core hosts.
+    /// `Auto`, which picks the blocked matvec on all but tiny grids.
     ///
     /// # Errors
     ///
