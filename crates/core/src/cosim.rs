@@ -7,7 +7,7 @@ use bright_flow::array::ChannelArray;
 use bright_flow::fluid::TemperatureDependentFluid;
 use bright_flowcell::array::ArrayOperatingPoint;
 use bright_flowcell::options::{SolverOptions, TemperatureProfile};
-use bright_flowcell::{CellArray, CellGeometry, CellModel, GeometryCache};
+use bright_flowcell::{CellArray, CellGeometry, CellModel, CellTarget, GeometryCache};
 use bright_flow::RectChannel;
 use bright_mesh::Grid2d;
 use bright_num::SolverSession;
@@ -69,13 +69,15 @@ pub struct CoSimulation {
     /// spawned from one co-simulation pays for each distinct sampled
     /// geometry once.
     geometry_cache: Arc<GeometryCache>,
-    /// Persistent per-column array for [`CoSimulation::run_yield`]:
-    /// instead of cloning the template into `thermal_columns` fresh
-    /// per-channel models every sample, the array's built models are
-    /// retargeted in place (geometry / ASR / flow / per-channel
-    /// temperature). Retargets are bitwise-equal to cold builds, so the
-    /// cached array cannot drift from a freshly constructed one.
-    yield_array: Option<CellArray>,
+    /// Persistent per-column array of the coupled solves, shared by
+    /// [`CoSimulation::run`] and [`CoSimulation::run_yield`]: built from
+    /// the template at the first coupled point, then moved between
+    /// points in place by [`CellArray::retarget`] — one refresh per
+    /// channel model per point, instead of `thermal_columns` fresh
+    /// per-channel models (and cold solve contexts) every point.
+    /// Retargets are bitwise-equal to cold builds, so the cached array
+    /// cannot drift from a freshly constructed one.
+    array: Option<CellArray>,
 }
 
 impl CoSimulation {
@@ -98,7 +100,7 @@ impl CoSimulation {
             retargets: 0,
             cell_context_reuses: 0,
             geometry_cache: Arc::new(GeometryCache::new()),
-            yield_array: None,
+            array: None,
         })
     }
 
@@ -143,6 +145,16 @@ impl CoSimulation {
         self.template
             .get()
             .map_or_else(Default::default, bright_flowcell::CellModel::context_stats)
+    }
+
+    /// Context telemetry summed over the persistent per-column array's
+    /// channel models (all zero before the first coupled run builds
+    /// them) — see [`CellArray::context_stats`].
+    #[must_use]
+    pub fn array_context_stats(&self) -> bright_flowcell::CellContextStats {
+        self.array
+            .as_ref()
+            .map_or_else(Default::default, CellArray::context_stats)
     }
 
     /// Replaces the kernel-backend selection of both solver sessions
@@ -238,10 +250,10 @@ impl CoSimulation {
     /// * same PDN key → the cached conductance system is kept, only the
     ///   load RHS changes on the next run;
     /// * same cell solver options → the flow-cell template's solve
-    ///   context is **refreshed in place** ([`CellModel::retarget_flow`]
-    ///   / [`CellModel::retarget_temperature`]): the duct velocity
-    ///   solution and the transport-operator storage survive every
-    ///   flow/inlet move (observable via
+    ///   context is **refreshed in place**, once for whatever moved
+    ///   ([`CellModel::retarget`]): the duct velocity solution and the
+    ///   transport-operator storage survive every flow/inlet move
+    ///   (observable via
     ///   [`CoSimulation::cell_context_reuses`] and
     ///   [`CoSimulation::cell_context_stats`]).
     ///
@@ -347,19 +359,19 @@ impl CoSimulation {
 
         // 2. Per-channel temperature profiles into the electrochemistry.
         // Channels sharing a thermal column are identical, so the coupled
-        // array is solved per column and scaled by the group size. The
+        // array is solved per column and scaled by the group size, on
+        // the persistent per-column array moved to this point. The
         // template (and its cached solve context) is shared by steps 2, 3
         // and 6.
         let template = self.template.get().expect("built above");
         let group = s.channel_count / s.thermal_columns;
+        let uniform;
         let array = if s.couple_temperature {
-            let profiles: Vec<TemperatureProfile> = (0..s.thermal_columns)
-                .map(|ix| TemperatureProfile::Sampled(thermal_sol.channel_profile(ix)))
-                .collect();
-            CellArray::new(template.clone(), s.thermal_columns)?
-                .with_channel_temperatures(profiles)?
+            let profiles = column_profiles(&thermal_sol, s.thermal_columns);
+            column_array(&mut self.array, template, &self.geometry_cache, profiles)?
         } else {
-            CellArray::new(template.clone(), s.thermal_columns)?
+            uniform = CellArray::new(template.clone(), s.thermal_columns)?;
+            &uniform
         };
 
         // 3. Array characteristics (scaled from columns to channels).
@@ -484,52 +496,13 @@ impl CoSimulation {
         let thermal_sol = thermal
             .solve_steady_with_sources_warm(&[(0, &power_map)], &mut self.thermal_session)?;
 
-        // Coupled array at the 1 V rail point only, through the
-        // persistent per-column array: cached per-channel models are
-        // retargeted in place to the sample's geometry / ASR / flow /
-        // temperature profiles instead of being cloned fresh.
+        // Coupled array at the 1 V rail point only, on the persistent
+        // per-column array `run` uses too.
         let template = self.template.get().expect("built above");
         let group = s.channel_count / s.thermal_columns;
         let at_1v_cols = if s.couple_temperature {
-            let profiles: Vec<TemperatureProfile> = (0..s.thermal_columns)
-                .map(|ix| TemperatureProfile::Sampled(thermal_sol.channel_profile(ix)))
-                .collect();
-            let geometry = cell_geometry_for(s)?;
-            let contact_asr = s.cell_options.contact_asr;
-            let per_channel = s.per_channel_flow();
-            let reusable = matches!(
-                &self.yield_array,
-                Some(a) if a.count() == s.thermal_columns
-                    && cell_shape_compatible(a.template().options(), template.options())
-            );
-            if reusable {
-                let cache = Arc::clone(&self.geometry_cache);
-                let array = self.yield_array.as_mut().expect("checked above");
-                let refreshed = array
-                    .retarget_models(|m| {
-                        m.retarget_geometry(geometry, Some(&cache))?;
-                        m.retarget_contact_asr(contact_asr)?;
-                        if m.flow().value() != per_channel.value() {
-                            m.retarget_flow(per_channel)?;
-                        }
-                        Ok(())
-                    })
-                    .and_then(|()| array.retarget_channel_temperatures(profiles));
-                if let Err(e) = refreshed {
-                    // Failed mutators clear their contexts; drop the
-                    // array so the next sample rebuilds it cold.
-                    self.yield_array = None;
-                    return Err(e.into());
-                }
-            } else {
-                self.yield_array = Some(
-                    CellArray::new(template.clone(), s.thermal_columns)?
-                        .with_channel_temperatures(profiles)?,
-                );
-            }
-            self.yield_array
-                .as_ref()
-                .expect("set above")
+            let profiles = column_profiles(&thermal_sol, s.thermal_columns);
+            column_array(&mut self.array, template, &self.geometry_cache, profiles)?
                 .solve_at_voltage(1.0)?
         } else {
             CellArray::new(template.clone(), s.thermal_columns)?.solve_at_voltage(1.0)?
@@ -685,35 +658,77 @@ pub(crate) fn cell_model_for(s: &Scenario) -> Result<CellModel, CoreError> {
 
 /// Retargets a built cell model to a scenario's coefficients in place
 /// (channel geometry, contact ASR, per-channel flow, inlet
-/// temperature), touching only what actually changed. Geometry moves
-/// consult `cache` so fingerprint collisions reuse a previous duct
-/// solve. Shared by [`CoSimulation::retarget`] and the engine's
-/// polarization workers so their compare-and-retarget semantics cannot
-/// drift. The scenario's `cell_options` must be shape-compatible with
-/// the model's (the callers guarantee this via their pattern keys /
+/// temperature) in one [`CellModel::retarget`]: one context refresh
+/// for whatever changed, none when nothing did. Geometry moves consult
+/// `cache` so fingerprint collisions reuse a previous duct solve.
+/// Shared by [`CoSimulation::retarget`] and the engine's polarization
+/// workers so their retarget semantics cannot drift. The scenario's
+/// `cell_options` must be shape-compatible with the model's (the
+/// callers guarantee this via their pattern keys /
 /// [`cell_shape_compatible`] checks).
 ///
 /// # Errors
 ///
-/// Refresh errors as in the `CellModel::retarget_*` mutators; the
-/// model's context is cleared by the failed mutator, and callers drop
-/// the model itself.
+/// As [`CellModel::retarget`]; callers drop the model on error.
 pub(crate) fn retarget_cell_to(
     model: &mut CellModel,
     s: &Scenario,
     cache: Option<&GeometryCache>,
 ) -> Result<(), CoreError> {
-    model.retarget_geometry(cell_geometry_for(s)?, cache)?;
-    model.retarget_contact_asr(s.cell_options.contact_asr)?;
-    let per_channel = s.per_channel_flow();
-    if model.flow().value() != per_channel.value() {
-        model.retarget_flow(per_channel)?;
+    let to = CellTarget {
+        geometry: cell_geometry_for(s)?,
+        contact_asr: s.cell_options.contact_asr,
+        flow: s.per_channel_flow(),
+        temperature: TemperatureProfile::Uniform(s.inlet_temperature),
+    };
+    Ok(model.retarget(&to, cache)?)
+}
+
+/// The sampled channel temperature profile of every thermal column.
+fn column_profiles(
+    thermal: &bright_thermal::ThermalSolution,
+    columns: usize,
+) -> Vec<TemperatureProfile> {
+    (0..columns)
+        .map(|ix| TemperatureProfile::Sampled(thermal.channel_profile(ix)))
+        .collect()
+}
+
+/// The persistent per-column array in `slot`, moved to `template`'s
+/// coefficients with one entry of `profiles` per column: retargeted in
+/// place when the slot holds an array of the same column count and
+/// transport shape, built from `template` otherwise. The array's own
+/// template moves to `template`'s uniform inlet profile too — array
+/// polarization curves read their open-circuit voltage from it.
+///
+/// # Errors
+///
+/// Array construction and retarget errors; a failed retarget empties
+/// the slot, so the next point rebuilds the array cold.
+fn column_array<'a>(
+    slot: &'a mut Option<CellArray>,
+    template: &CellModel,
+    cache: &GeometryCache,
+    profiles: Vec<TemperatureProfile>,
+) -> Result<&'a CellArray, CoreError> {
+    let reusable = matches!(
+        slot,
+        Some(a) if a.count() == profiles.len()
+            && cell_shape_compatible(a.template().options(), template.options())
+    );
+    if reusable {
+        let array = slot.as_mut().expect("checked above");
+        if let Err(e) = array.retarget(&template.target(), profiles, Some(cache)) {
+            *slot = None;
+            return Err(e.into());
+        }
+    } else {
+        *slot = Some(
+            CellArray::new(template.clone(), profiles.len())?
+                .with_channel_temperatures(profiles)?,
+        );
     }
-    let inlet = TemperatureProfile::Uniform(s.inlet_temperature);
-    if *model.temperature() != inlet {
-        model.retarget_temperature(inlet)?;
-    }
-    Ok(())
+    Ok(slot.as_ref().expect("set above"))
 }
 
 /// Builds the thermal stack model a scenario describes (die /
@@ -929,6 +944,75 @@ mod tests {
         assert_eq!(cell.op_builds, 2, "{cell:?}");
         assert_eq!(cell.coefficient_refreshes, 3, "{cell:?}");
         assert!(cell.op_refreshes >= 6, "{cell:?}");
+    }
+
+    #[test]
+    fn persistent_array_runs_match_fresh_engines_byte_for_byte() {
+        // One engine driven through flow, inlet, width and ASR moves
+        // (and back), with a yield sample between runs: every `run`
+        // report must be byte-identical to a fresh engine's at the same
+        // scenario, though the per-column array is built only once.
+        let base = Scenario::power7_reduced();
+        let mut points = vec![base.clone()];
+        let mut s = base.clone();
+        s.total_flow = s.total_flow * 0.8;
+        points.push(s.clone());
+        s.inlet_temperature = bright_units::Kelvin::new(s.inlet_temperature.value() + 3.0);
+        points.push(s.clone());
+        s.channel_width = Meters::new(s.channel_width.value() + 10e-6);
+        points.push(s.clone());
+        s.cell_options.contact_asr = 2e-5;
+        points.push(s.clone());
+        points.push(base);
+
+        let mut sim = CoSimulation::new(points[0].clone()).unwrap();
+        let mut builds = None;
+        for (i, s) in points.iter().enumerate() {
+            sim.retarget(s.clone()).unwrap();
+            sim.reset_warm_starts();
+            let warm = sim.run().unwrap().to_json_string();
+            let fresh = CoSimulation::new(s.clone()).unwrap().run().unwrap();
+            assert!(warm == fresh.to_json_string(), "point {i} drifted");
+            let stats = sim.array_context_stats();
+            assert_eq!(
+                *builds.get_or_insert(stats.coefficient_builds),
+                stats.coefficient_builds,
+                "point {i} rebuilt channel contexts: {stats:?}"
+            );
+            sim.reset_warm_starts();
+            sim.run_yield().unwrap();
+        }
+        assert_eq!(builds, Some(points[0].thermal_columns as u64));
+    }
+
+    #[test]
+    fn nominal_array_refreshes_each_channel_once_per_point() {
+        let base = Scenario::power7_nominal();
+        let mut sim = CoSimulation::new(base.clone()).unwrap();
+        sim.run_yield().unwrap();
+        let built = sim.array_context_stats();
+        assert_eq!(built.coefficient_builds, 88, "{built:?}");
+
+        // A Monte Carlo-like sample: every coefficient moves at once.
+        let mut s = base;
+        s.channel_width = Meters::new(s.channel_width.value() + 3e-6);
+        s.total_flow = s.total_flow * 1.02;
+        s.inlet_temperature = bright_units::Kelvin::new(s.inlet_temperature.value() + 1.0);
+        s.cell_options.contact_asr = 1e-5;
+        sim.retarget(s).unwrap();
+        sim.reset_warm_starts();
+        sim.run_yield().unwrap();
+        let sampled = sim.array_context_stats();
+        assert_eq!(sampled.coefficient_builds, built.coefficient_builds);
+        assert_eq!(
+            sampled.coefficient_refreshes - built.coefficient_refreshes,
+            88,
+            "one refresh per channel model: {sampled:?}"
+        );
+
+        // `run` on the same engine reuses the array: no cold context.
+        sim.run().unwrap();
+        assert_eq!(sim.array_context_stats().coefficient_builds, 88);
     }
 
     #[test]

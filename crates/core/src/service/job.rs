@@ -635,7 +635,10 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Report`] for missing/mistyped fields.
+    /// [`CoreError::Report`] for missing/mistyped fields — including a
+    /// `deadline_ms` / `timeout_ms` that is present but not a
+    /// non-negative integer within `u64`, and a `max_retries` above
+    /// `u32::MAX`.
     pub fn from_json(v: &Value) -> Result<Self, CoreError> {
         Ok(Self {
             preset: str_field(v, "preset")?,
@@ -645,12 +648,13 @@ impl JobSpec {
             kind: JobKind::from_json(v.get("job").ok_or_else(|| spec_err("job"))?)?,
             priority: Priority::parse(&str_field(v, "priority")?)
                 .ok_or_else(|| spec_err("priority"))?,
-            deadline_ms: v.get("deadline_ms").and_then(Value::as_f64).map(|d| d as u64),
-            timeout_ms: v.get("timeout_ms").and_then(Value::as_f64).map(|t| t as u64),
+            deadline_ms: opt_u64_field(v, "deadline_ms")?,
+            timeout_ms: opt_u64_field(v, "timeout_ms")?,
             max_retries: v
                 .get("max_retries")
-                .and_then(Value::as_usize)
-                .ok_or_else(|| spec_err("max_retries"))? as u32,
+                .and_then(as_u64)
+                .and_then(|r| u32::try_from(r).ok())
+                .ok_or_else(|| spec_err("max_retries"))?,
         })
     }
 
@@ -718,6 +722,23 @@ fn num_field(v: &Value, field: &str) -> Result<f64, CoreError> {
     v.get(field)
         .and_then(Value::as_f64)
         .ok_or_else(|| spec_err(field))
+}
+
+/// The value as a `u64`, if it is a non-negative integral number below
+/// 2⁶⁴ (no truncation, no saturation).
+fn as_u64(v: &Value) -> Option<u64> {
+    const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+    v.as_f64()
+        .filter(|x| *x >= 0.0 && x.fract() == 0.0 && *x < TWO_POW_64)
+        .map(|x| x as u64)
+}
+
+/// An optional integral field: `None` when absent, an error when
+/// present but not a `u64` (mistyped, negative or fractional).
+fn opt_u64_field(v: &Value, field: &str) -> Result<Option<u64>, CoreError> {
+    v.get(field)
+        .map(|x| as_u64(x).ok_or_else(|| spec_err(field)))
+        .transpose()
 }
 
 fn str_field(v: &Value, field: &str) -> Result<String, CoreError> {
@@ -836,5 +857,70 @@ mod tests {
             ..JobSpec::steady("power7_reduced")
         };
         assert!(empty_trace.validate().is_err());
+    }
+
+    /// A valid spec document with `field` set to `value`.
+    fn spec_with(field: &str, value: Value) -> Value {
+        let mut v = JobSpec::steady("power7_reduced").to_json();
+        if let Value::Object(map) = &mut v {
+            map.insert(field.into(), value);
+        }
+        v
+    }
+
+    fn assert_rejects(field: &str, value: Value) {
+        match JobSpec::from_json(&spec_with(field, value.clone())) {
+            Err(CoreError::Report(m)) => assert!(m.contains(field), "{field}: {m}"),
+            other => panic!("{field} = {value:?} decoded as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn spec_rejects_mistyped_deadline() {
+        assert_rejects("deadline_ms", Value::String("soon".into()));
+    }
+
+    #[test]
+    fn spec_rejects_negative_deadline() {
+        assert_rejects("deadline_ms", Value::Number(-5.0));
+    }
+
+    #[test]
+    fn spec_rejects_fractional_deadline() {
+        assert_rejects("deadline_ms", Value::Number(2.5));
+    }
+
+    #[test]
+    fn spec_rejects_mistyped_timeout() {
+        assert_rejects("timeout_ms", Value::Bool(true));
+    }
+
+    #[test]
+    fn spec_rejects_negative_timeout() {
+        assert_rejects("timeout_ms", Value::Number(-1.0));
+    }
+
+    #[test]
+    fn spec_rejects_fractional_timeout() {
+        assert_rejects("timeout_ms", Value::Number(0.5));
+    }
+
+    #[test]
+    fn spec_rejects_out_of_range_deadline() {
+        assert_rejects("deadline_ms", Value::Number(2f64.powi(64)));
+    }
+
+    #[test]
+    fn spec_rejects_max_retries_above_u32() {
+        assert_rejects("max_retries", Value::Number(2f64.powi(32) + 1.0));
+    }
+
+    #[test]
+    fn spec_accepts_integral_contract_terms_at_their_bounds() {
+        let v = spec_with("max_retries", Value::Number(f64::from(u32::MAX)));
+        assert_eq!(JobSpec::from_json(&v).unwrap().max_retries, u32::MAX);
+        let v = spec_with("deadline_ms", Value::Number(0.0));
+        let spec = JobSpec::from_json(&v).unwrap();
+        assert_eq!((spec.deadline_ms, spec.timeout_ms), (Some(0), None));
     }
 }

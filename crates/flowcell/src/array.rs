@@ -8,7 +8,7 @@
 
 use crate::options::TemperatureProfile;
 use crate::polarization::{PolarizationCurve, PolarizationPoint};
-use crate::solver::{CellContextStats, CellModel};
+use crate::solver::{CellContextStats, CellModel, CellTarget, GeometryCache};
 use crate::FlowCellError;
 use bright_num::roots::{brent, RootOptions};
 use bright_units::{Ampere, Volt, Watt};
@@ -78,13 +78,7 @@ impl CellArray {
         mut self,
         temps: Vec<TemperatureProfile>,
     ) -> Result<Self, FlowCellError> {
-        if temps.len() != self.count {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "{} temperature profiles for {} channels",
-                temps.len(),
-                self.count
-            )));
-        }
+        self.check_profile_count(&temps)?;
         self.per_channel_temperatures = Some(temps);
         self.models = OnceLock::new();
         Ok(self)
@@ -97,30 +91,77 @@ impl CellArray {
         self
     }
 
-    /// Applies an in-place retarget to the template **and** every
-    /// cached per-channel model — the amortized path when one array
-    /// serves a stream of operating points (Monte Carlo studies, design
-    /// sweeps): geometry, flow and ASR updates ride the models'
-    /// existing solve contexts instead of rebuilding them per sample.
-    /// Retargets are bitwise-equal to cold builds (the
-    /// [`CellModel::retarget_geometry`] family's contract), so a
-    /// long-lived retargeted array and a freshly built one solve to
-    /// identical bits.
+    /// Moves the whole array to a new operating point in one pass: the
+    /// template is retargeted to `template`, and every built channel
+    /// model to `template` with its own entry of `channel_temperatures`
+    /// — one [`CellModel::retarget`] each, so each channel's solve
+    /// context is refreshed exactly once however many fields moved.
+    /// The channels fan out over worker threads (contiguous `&mut`
+    /// chunks, [`bright_num::parallel::try_parallel_for_each_mut`],
+    /// under the workspace's `worker_count` policy). When the channel
+    /// models are not built yet (or were built for a different channel
+    /// layout), the profiles are stored for the next lazy build, as
+    /// [`CellArray::with_channel_temperatures`] does. Retargets are
+    /// bitwise-equal to cold builds, so a long-lived array and a
+    /// freshly built one solve to identical bits. Array solves read the
+    /// template's open-circuit voltage, so `template.temperature`
+    /// should be the profile the array is built around (the inlet
+    /// temperature in the co-simulation).
     ///
     /// # Errors
     ///
-    /// Propagates the first retarget error; failed models clear their
-    /// contexts, so subsequent solves rebuild cold rather than serving
-    /// stale coefficients.
-    pub fn retarget_models<F>(&mut self, mut retarget: F) -> Result<(), FlowCellError>
+    /// [`FlowCellError::InvalidConfig`] when the profile count is not
+    /// the channel count (the array is unchanged); the template's
+    /// retarget errors; otherwise the error of the first failing
+    /// channel in channel order, prefixed with its index. Failed models
+    /// clear their contexts, so later solves rebuild cold rather than
+    /// serve stale coefficients; holders should drop the array.
+    pub fn retarget(
+        &mut self,
+        template: &CellTarget,
+        channel_temperatures: Vec<TemperatureProfile>,
+        cache: Option<&GeometryCache>,
+    ) -> Result<(), FlowCellError> {
+        self.check_profile_count(&channel_temperatures)?;
+        self.template.retarget(template, cache)?;
+        self.retarget_channels(&channel_temperatures, |k, m| {
+            m.retarget(
+                &CellTarget {
+                    geometry: template.geometry,
+                    contact_asr: template.contact_asr,
+                    flow: template.flow,
+                    temperature: channel_temperatures[k].clone(),
+                },
+                cache,
+            )
+        })?;
+        self.per_channel_temperatures = Some(channel_temperatures);
+        Ok(())
+    }
+
+    /// Applies an in-place retarget to the template **and** every
+    /// cached per-channel model (the channels fanned out as in
+    /// [`CellArray::retarget`]) — for moves [`CellTarget`] does not
+    /// cover, such as inlet compositions. Retargets are bitwise-equal
+    /// to cold builds (the [`CellModel::retarget`] contract), so a
+    /// long-lived retargeted array and a freshly built one solve to
+    /// identical bits. Each `retarget_*` call refreshes a model once:
+    /// a move of several fields costs less through
+    /// [`CellArray::retarget`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the template's error, or the first failing channel's
+    /// in channel order (prefixed with its index); failed models clear
+    /// their contexts, so subsequent solves rebuild cold rather than
+    /// serving stale coefficients.
+    pub fn retarget_models<F>(&mut self, retarget: F) -> Result<(), FlowCellError>
     where
-        F: FnMut(&mut CellModel) -> Result<(), FlowCellError>,
+        F: Fn(&mut CellModel) -> Result<(), FlowCellError> + Sync,
     {
         retarget(&mut self.template)?;
         if let Some(models) = self.models.get_mut() {
-            for m in models {
-                retarget(m)?;
-            }
+            for_each_channel(models, |_, m| retarget(m))?;
         }
         Ok(())
     }
@@ -130,9 +171,9 @@ impl CellArray {
     /// channel count) each one is refreshed through
     /// [`CellModel::retarget_temperature`] — station chemistry and
     /// operator re-stamps through existing storage, no new model
-    /// builds; otherwise this falls back to storing the profiles for
-    /// the next lazy build, exactly like
-    /// [`CellArray::with_channel_temperatures`].
+    /// builds, channels fanned out as in [`CellArray::retarget`];
+    /// otherwise this falls back to storing the profiles for the next
+    /// lazy build, exactly like [`CellArray::with_channel_temperatures`].
     ///
     /// # Errors
     ///
@@ -142,26 +183,44 @@ impl CellArray {
         &mut self,
         temps: Vec<TemperatureProfile>,
     ) -> Result<(), FlowCellError> {
-        if temps.len() != self.count {
-            return Err(FlowCellError::InvalidConfig(format!(
+        self.check_profile_count(&temps)?;
+        self.retarget_channels(&temps, |k, m| m.retarget_temperature(temps[k].clone()))?;
+        self.per_channel_temperatures = Some(temps);
+        Ok(())
+    }
+
+    /// [`FlowCellError::InvalidConfig`] unless there is one profile per
+    /// channel.
+    fn check_profile_count(&self, temps: &[TemperatureProfile]) -> Result<(), FlowCellError> {
+        if temps.len() == self.count {
+            Ok(())
+        } else {
+            Err(FlowCellError::InvalidConfig(format!(
                 "{} temperature profiles for {} channels",
                 temps.len(),
                 self.count
-            )));
+            )))
         }
+    }
+
+    /// Applies `retarget` to every built channel model when they are
+    /// one per profile of `temps`; otherwise drops them, so the next
+    /// solve builds them from the stored profiles.
+    fn retarget_channels<F>(
+        &mut self,
+        temps: &[TemperatureProfile],
+        retarget: F,
+    ) -> Result<(), FlowCellError>
+    where
+        F: Fn(usize, &mut CellModel) -> Result<(), FlowCellError> + Sync,
+    {
         match self.models.get_mut() {
-            Some(models) if models.len() == temps.len() => {
-                for (m, t) in models.iter_mut().zip(&temps) {
-                    m.retarget_temperature(t.clone())?;
-                }
-                self.per_channel_temperatures = Some(temps);
-            }
+            Some(models) if models.len() == temps.len() => for_each_channel(models, retarget),
             _ => {
-                self.per_channel_temperatures = Some(temps);
                 self.models = OnceLock::new();
+                Ok(())
             }
         }
-        Ok(())
     }
 
     /// The cached per-channel models, built on first use. The duct
@@ -354,6 +413,32 @@ where
         .collect()
 }
 
+/// Applies `f` to every channel model in place, fanning contiguous
+/// chunks of channels across worker threads under the workspace's
+/// worker-count policy (inline with one worker or one model).
+fn for_each_channel<F>(models: &mut [CellModel], f: F) -> Result<(), FlowCellError>
+where
+    F: Fn(usize, &mut CellModel) -> Result<(), FlowCellError> + Sync,
+{
+    let workers = bright_num::parallel::worker_count(models.len());
+    for_each_channel_with_workers(models, workers, f)
+}
+
+/// [`for_each_channel`] with an explicit worker count. The error is the
+/// first failing channel's in channel order, prefixed with its index.
+fn for_each_channel_with_workers<F>(
+    models: &mut [CellModel],
+    workers: usize,
+    f: F,
+) -> Result<(), FlowCellError>
+where
+    F: Fn(usize, &mut CellModel) -> Result<(), FlowCellError> + Sync,
+{
+    bright_num::parallel::try_parallel_for_each_mut(models, workers, |k, m| {
+        f(k, m).map_err(|e| e.in_channel(k))
+    })
+}
+
 /// Solves many channel models at the same voltage on worker threads and
 /// returns the summed current.
 fn solve_channels_parallel(models: &[CellModel], voltage: f64) -> Result<f64, FlowCellError> {
@@ -517,6 +602,132 @@ mod tests {
 
         assert_eq!(warm.current.value().to_bits(), fresh.current.value().to_bits());
         assert_eq!(warm.power.value().to_bits(), fresh.power.value().to_bits());
+    }
+
+    /// Four solved channels of the POWER7+ cell at sampled profiles
+    /// around `base` (the channel models and their contexts exist).
+    fn solved_array(base: f64) -> CellArray {
+        let array = CellArray::new(presets::power7_channel().unwrap(), 4)
+            .unwrap()
+            .with_channel_temperatures(sampled(base))
+            .unwrap();
+        array.solve_at_voltage(1.0).unwrap();
+        array
+    }
+
+    fn sampled(base: f64) -> Vec<TemperatureProfile> {
+        (0..4)
+            .map(|k| {
+                let k = k as f64;
+                TemperatureProfile::Sampled(vec![
+                    Kelvin::new(base + k),
+                    Kelvin::new(base + 2.0 * k + 3.0),
+                    Kelvin::new(base + 1.5 * k + 1.0),
+                ])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_array_retarget_matches_a_fresh_array_bitwise() {
+        let template = presets::power7_channel().unwrap();
+        let to = CellTarget {
+            flow: template.flow() * 1.3,
+            contact_asr: 3e-6,
+            temperature: TemperatureProfile::Uniform(Kelvin::new(302.0)),
+            ..template.target()
+        };
+        let mut lived = solved_array(300.0);
+        let before = lived.context_stats();
+        lived.retarget(&to, sampled(305.0), None).unwrap();
+        let after = lived.context_stats();
+        assert_eq!(
+            after.coefficient_refreshes - before.coefficient_refreshes,
+            4,
+            "one refresh per channel model"
+        );
+        assert_eq!(after.coefficient_builds, before.coefficient_builds);
+        assert_eq!(lived.template().target(), to, "the template moves too");
+
+        let mut fresh_template = template;
+        fresh_template.retarget(&to, None).unwrap();
+        let fresh = CellArray::new(fresh_template, 4)
+            .unwrap()
+            .with_channel_temperatures(sampled(305.0))
+            .unwrap();
+        for v in [0.6, 1.0] {
+            let (a, b) = (
+                lived.solve_at_voltage(v).unwrap(),
+                fresh.solve_at_voltage(v).unwrap(),
+            );
+            assert_eq!(a.current.value().to_bits(), b.current.value().to_bits());
+        }
+        let (a, b) = (
+            lived.polarization_curve(4).unwrap(),
+            fresh.polarization_curve(4).unwrap(),
+        );
+        assert_eq!(a, b);
+
+        // A profile count that is not the channel count is rejected
+        // before anything moves.
+        let target_before = lived.template().target();
+        let moved = CellTarget {
+            contact_asr: 9e-6,
+            ..to.clone()
+        };
+        assert!(lived
+            .retarget(&moved, sampled(310.0)[..3].to_vec(), None)
+            .is_err());
+        assert_eq!(lived.template().target(), target_before);
+    }
+
+    #[test]
+    fn channel_fan_out_is_worker_count_independent_and_names_the_first_failure() {
+        let to = CellTarget {
+            contact_asr: 2e-6,
+            ..presets::power7_channel().unwrap().target()
+        };
+        let next = sampled(304.0);
+        let move_channel = |k: usize, m: &mut CellModel| {
+            m.retarget(
+                &CellTarget {
+                    temperature: next[k].clone(),
+                    ..to.clone()
+                },
+                None,
+            )
+        };
+        let mut per_workers = Vec::new();
+        for workers in [1, 3] {
+            let mut array = solved_array(300.0);
+            let models = array.models.get_mut().unwrap();
+            for_each_channel_with_workers(models, workers, move_channel).unwrap();
+            assert!(models
+                .iter()
+                .all(|m| m.context_stats().coefficient_refreshes == 1));
+            let bits: Vec<u64> = models
+                .iter()
+                .map(|m| m.solve_at_voltage(0.9).unwrap().current().value().to_bits())
+                .collect();
+            per_workers.push(bits);
+        }
+        assert_eq!(per_workers[0], per_workers[1]);
+
+        // Channels 1 and 3 fail: every worker count reports channel 1.
+        let bad = TemperatureProfile::Uniform(Kelvin::new(-1.0));
+        for workers in [1, 3] {
+            let mut array = solved_array(300.0);
+            let models = array.models.get_mut().unwrap();
+            let err = for_each_channel_with_workers(models, workers, |k, m| {
+                if k % 2 == 1 {
+                    m.retarget_temperature(bad.clone())
+                } else {
+                    move_channel(k, m)
+                }
+            })
+            .unwrap_err();
+            assert!(err.to_string().contains("channel 1:"), "{workers}: {err}");
+        }
     }
 
     #[test]

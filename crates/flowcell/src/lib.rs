@@ -52,7 +52,7 @@ pub use array::CellArray;
 pub use geometry::CellGeometry;
 pub use options::{SolverOptions, TemperatureProfile};
 pub use polarization::PolarizationCurve;
-pub use solver::{CellContextStats, CellModel, CellSolution, GeometryCache};
+pub use solver::{CellContextStats, CellModel, CellSolution, CellTarget, GeometryCache};
 
 use std::fmt;
 
@@ -85,6 +85,21 @@ impl fmt::Display for FlowCellError {
 }
 
 impl std::error::Error for FlowCellError {}
+
+impl FlowCellError {
+    /// The same error, its message prefixed with the array channel it
+    /// came from.
+    pub(crate) fn in_channel(self, channel: usize) -> Self {
+        let tag = |m: String| format!("channel {channel}: {m}");
+        match self {
+            FlowCellError::InvalidConfig(m) => FlowCellError::InvalidConfig(tag(m)),
+            FlowCellError::Infeasible(m) => FlowCellError::Infeasible(tag(m)),
+            FlowCellError::Numerical(m) => FlowCellError::Numerical(tag(m)),
+            FlowCellError::Chemistry(m) => FlowCellError::Chemistry(tag(m)),
+            FlowCellError::Fluidics(m) => FlowCellError::Fluidics(tag(m)),
+        }
+    }
+}
 
 impl From<bright_num::NumError> for FlowCellError {
     fn from(e: bright_num::NumError) -> Self {

@@ -107,6 +107,23 @@ impl Clone for CellModel {
     }
 }
 
+/// Every coefficient input of a [`CellModel`] — the fields a built
+/// solve context can be moved between in place by
+/// [`CellModel::retarget`]. The chemistry's inlet compositions move
+/// separately ([`CellModel::retarget_inlets`]); the discretization
+/// options are shape, not coefficients, and never move.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellTarget {
+    /// Channel geometry.
+    pub geometry: CellGeometry,
+    /// Contact/electrode area-specific resistance (Ω·m²).
+    pub contact_asr: f64,
+    /// Per-channel volumetric flow rate.
+    pub flow: CubicMetersPerSecond,
+    /// Temperature profile seen by the cell.
+    pub temperature: TemperatureProfile,
+}
+
 /// Per-station chemistry snapshot (temperature-resolved), with the
 /// constants of the station's voltage balance resolved once at context
 /// build/refresh rather than on every residual evaluation.
@@ -244,6 +261,36 @@ pub(crate) struct GeometryContext {
     /// expensive duct Poisson solve lives here; coefficient states only
     /// rescale it by the mean velocity.
     shape_half: Vec<f64>,
+}
+
+impl GeometryContext {
+    /// Builds the geometry-keyed context of `geometry` under `options`:
+    /// grid spacings plus the normalized velocity shape (the duct
+    /// Poisson solve for [`VelocityModel::Duct`]).
+    fn build(geometry: &CellGeometry, options: &SolverOptions) -> Result<Self, FlowCellError> {
+        let nx = options.nx;
+        let ny = options.ny;
+        let shape_half: Vec<f64> = match options.velocity {
+            VelocityModel::PlanePoiseuille => (0..ny)
+                .map(|j| {
+                    let xi = (j as f64 + 0.5) / (2.0 * ny as f64);
+                    plane_poiseuille(xi)
+                })
+                .collect(),
+            VelocityModel::Duct { nz } => {
+                let sol = DuctFlowSolution::solve(geometry.channel(), 2 * ny, nz)?;
+                sol.width_profile()[..ny].to_vec()
+            }
+        };
+        Ok(Self {
+            nx,
+            dx: geometry.electrode_length().value() / nx as f64,
+            dy: geometry.stream_half_width().value() / ny as f64,
+            half_width: geometry.stream_half_width().value(),
+            electrode_length: geometry.electrode_length().value(),
+            shape_half,
+        })
+    }
 }
 
 /// Fingerprint of everything a [`GeometryContext`] is built from: the
@@ -651,7 +698,8 @@ impl CellModel {
     /// transport operators are re-stamped through their existing storage
     /// — zero new `TransportOp` builds, zero duct-profile solves.
     /// Subsequent solves are bitwise-equal to a cold model built at the
-    /// new flow.
+    /// new flow. A one-field [`CellModel::retarget`]: a retarget to the
+    /// current flow is a no-op.
     ///
     /// # Errors
     ///
@@ -659,19 +707,17 @@ impl CellModel {
     /// model is unchanged); refresh errors clear the context so the next
     /// solve rebuilds cold.
     pub fn retarget_flow(&mut self, flow: CubicMetersPerSecond) -> Result<(), FlowCellError> {
-        if !(flow.value() > 0.0 && flow.is_finite()) {
-            return Err(FlowCellError::InvalidConfig(format!(
-                "flow must be positive, got {flow}"
-            )));
-        }
-        self.flow = flow;
-        self.refresh_context(false, true, true)
+        let mut to = self.target();
+        to.flow = flow;
+        self.retarget(&to, None)
     }
 
     /// Points this model at a different temperature profile in place:
     /// station chemistry snapshots are rebuilt and the transport
     /// operators re-stamped for the new diffusivities — the geometry
-    /// context and the velocity profile survive untouched.
+    /// context and the velocity profile survive untouched. A one-field
+    /// [`CellModel::retarget`]: a retarget to the current profile is a
+    /// no-op.
     ///
     /// # Errors
     ///
@@ -682,9 +728,9 @@ impl CellModel {
         &mut self,
         temperature: TemperatureProfile,
     ) -> Result<(), FlowCellError> {
-        temperature.resample(self.options.nx)?;
-        self.temperature = temperature;
-        self.refresh_context(true, false, false)
+        let mut to = self.target();
+        to.temperature = temperature;
+        self.retarget(&to, None)
     }
 
     /// Points this model at different inlet compositions in place:
@@ -712,55 +758,30 @@ impl CellModel {
     /// *not* repeated), and the whole coefficient state is refreshed
     /// against it through the existing storage. Subsequent solves are
     /// bitwise-equal to a cold model built at the new geometry. A
-    /// retarget to the current geometry is a no-op.
+    /// one-field [`CellModel::retarget`]: a retarget to the current
+    /// geometry is a no-op.
     ///
     /// # Errors
     ///
-    /// Duct-solver errors on a cache miss; refresh errors clear the
-    /// context so the next solve rebuilds cold.
+    /// Duct-solver errors on a cache miss (the model is unchanged);
+    /// refresh errors clear the context so the next solve rebuilds
+    /// cold.
     pub fn retarget_geometry(
         &mut self,
         geometry: CellGeometry,
         cache: Option<&GeometryCache>,
     ) -> Result<(), FlowCellError> {
-        if geometry == self.geometry {
-            return Ok(());
-        }
-        self.geometry = geometry;
-        let (new_geo, paid) = match cache {
-            Some(cache) => {
-                cache.get_or_build(&self.geometry, &self.options, || self.build_geometry())?
-            }
-            None => (Arc::new(self.build_geometry()?), true),
-        };
-        if paid {
-            self.geo_builds_paid
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        self.geo = OnceLock::new();
-        let _ = self.geo.set(Arc::clone(&new_geo));
-        if self.ctx.get().is_none() {
-            // Nothing warm to refresh; the next solve builds cold
-            // against the (possibly cached) context installed above.
-            return Ok(());
-        }
-        if let Some(ctx) = self.ctx.get_mut() {
-            ctx.geo = new_geo;
-            ctx.stats.geometry_builds = self
-                .geo_builds_paid
-                .load(std::sync::atomic::Ordering::Relaxed);
-        }
-        // Everything downstream of geometry changed: stations (new
-        // electrode gap → new ASR), velocity (new cross-section and
-        // shape), operators (new grid spacings), marchers (new grid).
-        self.refresh_context(true, true, true)
+        let mut to = self.target();
+        to.geometry = geometry;
+        self.retarget(&to, cache)
     }
 
     /// Points this model at a different contact/electrode
     /// area-specific resistance (Ω·m²) in place: station chemistry
     /// snapshots are rebuilt with the new series term, while the
     /// velocity profile, transport operators and marchers all survive
-    /// untouched. A retarget to the current value is a no-op.
+    /// untouched. A one-field [`CellModel::retarget`]: a retarget to the
+    /// current value is a no-op.
     ///
     /// # Errors
     ///
@@ -768,16 +789,118 @@ impl CellModel {
     /// value (the model is unchanged); refresh errors clear the context
     /// so the next solve rebuilds cold.
     pub fn retarget_contact_asr(&mut self, contact_asr: f64) -> Result<(), FlowCellError> {
-        if !(contact_asr >= 0.0 && contact_asr.is_finite()) {
+        let mut to = self.target();
+        to.contact_asr = contact_asr;
+        self.retarget(&to, None)
+    }
+
+    /// Every coefficient input of this model, as a [`CellTarget`] — the
+    /// starting point for a retarget that changes only some of them.
+    #[must_use]
+    pub fn target(&self) -> CellTarget {
+        CellTarget {
+            geometry: self.geometry,
+            contact_asr: self.options.contact_asr,
+            flow: self.flow,
+            temperature: self.temperature.clone(),
+        }
+    }
+
+    /// Points this model at `to` in one in-place refresh: whatever set
+    /// of fields changed — geometry, contact ASR, flow, temperature —
+    /// the solve context is refreshed **once**, for the union of what
+    /// those changes touch (station chemistry, velocity profile,
+    /// transport-operator re-stamps, marcher skeletons). A geometry
+    /// change swaps the geometry context first, served from `cache`
+    /// when its fingerprint was built before (the duct solve is then
+    /// not repeated). Subsequent solves are bitwise-equal to a cold
+    /// model built at `to`, and to the same moves made one field at a
+    /// time through the `retarget_*` wrappers — which cost one refresh
+    /// per call instead. A target equal to the current inputs costs
+    /// nothing; a model without a built context just takes the new
+    /// inputs (the next solve builds cold).
+    ///
+    /// # Errors
+    ///
+    /// [`FlowCellError::InvalidConfig`] for a non-positive flow, a
+    /// negative or non-finite contact ASR or a non-physical temperature
+    /// profile, and duct-solver errors on a geometry-cache miss: every
+    /// field is validated (and the new geometry context built) before
+    /// anything is touched, so on these errors the model is unchanged.
+    /// An error inside the refresh itself clears the context so the
+    /// next solve rebuilds cold.
+    pub fn retarget(
+        &mut self,
+        to: &CellTarget,
+        cache: Option<&GeometryCache>,
+    ) -> Result<(), FlowCellError> {
+        if !(to.flow.value() > 0.0 && to.flow.is_finite()) {
             return Err(FlowCellError::InvalidConfig(format!(
-                "contact ASR must be non-negative, got {contact_asr}"
+                "flow must be positive, got {}",
+                to.flow
             )));
         }
-        if contact_asr == self.options.contact_asr {
+        if !(to.contact_asr >= 0.0 && to.contact_asr.is_finite()) {
+            return Err(FlowCellError::InvalidConfig(format!(
+                "contact ASR must be non-negative, got {}",
+                to.contact_asr
+            )));
+        }
+        let geometry = to.geometry != self.geometry;
+        let asr = to.contact_asr != self.options.contact_asr;
+        let flow = to.flow.value() != self.flow.value();
+        let temperature = to.temperature != self.temperature;
+        if temperature {
+            to.temperature.resample(self.options.nx)?;
+        }
+        if !(geometry || asr || flow || temperature) {
             return Ok(());
         }
-        self.options.contact_asr = contact_asr;
-        self.refresh_context(true, false, false)
+        let new_geo = if geometry {
+            let build = || GeometryContext::build(&to.geometry, &self.options);
+            let (geo, paid) = match cache {
+                Some(cache) => cache.get_or_build(&to.geometry, &self.options, build)?,
+                None => (Arc::new(build()?), true),
+            };
+            if paid {
+                self.geo_builds_paid.fetch_add(1, Ordering::Relaxed);
+            }
+            Some(geo)
+        } else {
+            None
+        };
+
+        if geometry {
+            self.geometry = to.geometry;
+        }
+        if asr {
+            self.options.contact_asr = to.contact_asr;
+        }
+        if flow {
+            self.flow = to.flow;
+        }
+        if temperature {
+            self.temperature = to.temperature.clone();
+        }
+        if let Some(geo) = new_geo {
+            self.geo = OnceLock::from(Arc::clone(&geo));
+            let paid = self.geo_builds_paid.load(Ordering::Relaxed);
+            if let Some(ctx) = self.ctx.get_mut() {
+                ctx.geo = geo;
+                ctx.stats.geometry_builds = paid;
+            }
+        }
+        // Geometry moves everything downstream of it: stations (new
+        // electrode gap → new ASR), velocity (new cross-section and
+        // shape), operators (new grid spacings), marchers (new grid).
+        // ASR and temperature touch only the stations (and, through
+        // the diffusivities, the operators); flow the velocity, the
+        // operators and the marchers.
+        self.refresh_context(
+            geometry || asr || temperature,
+            geometry || flow,
+            geometry || flow,
+        )
     }
 
     /// Context telemetry: geometry builds, coefficient refreshes and
@@ -857,38 +980,10 @@ impl CellModel {
     /// [`CellModel::warm_geometry`], or not at all (inherited `Arc`).
     fn geometry_context(&self) -> Result<&Arc<GeometryContext>, FlowCellError> {
         bright_num::lazy::get_or_try_init(&self.geo, || {
-            let geo = self.build_geometry().map(Arc::new)?;
+            let geo = GeometryContext::build(&self.geometry, &self.options).map(Arc::new)?;
             self.geo_builds_paid
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             Ok(geo)
-        })
-    }
-
-    /// Builds the geometry-keyed context: grid spacings plus the
-    /// normalized velocity shape (the duct Poisson solve for
-    /// [`VelocityModel::Duct`]).
-    fn build_geometry(&self) -> Result<GeometryContext, FlowCellError> {
-        let nx = self.options.nx;
-        let ny = self.options.ny;
-        let shape_half: Vec<f64> = match self.options.velocity {
-            VelocityModel::PlanePoiseuille => (0..ny)
-                .map(|j| {
-                    let xi = (j as f64 + 0.5) / (2.0 * ny as f64);
-                    plane_poiseuille(xi)
-                })
-                .collect(),
-            VelocityModel::Duct { nz } => {
-                let sol = DuctFlowSolution::solve(self.geometry.channel(), 2 * ny, nz)?;
-                sol.width_profile()[..ny].to_vec()
-            }
-        };
-        Ok(GeometryContext {
-            nx,
-            dx: self.geometry.electrode_length().value() / nx as f64,
-            dy: self.geometry.stream_half_width().value() / ny as f64,
-            half_width: self.geometry.stream_half_width().value(),
-            electrode_length: self.geometry.electrode_length().value(),
-            shape_half,
         })
     }
 

@@ -2,14 +2,16 @@
 //! driven through a random sequence of `retarget_flow` /
 //! `retarget_temperature` / `retarget_inlets` mutations must produce
 //! solves **bitwise-equal** to a model built cold at the final
-//! parameters, while never rebuilding its geometry context.
+//! parameters, while never rebuilding its geometry context; and a
+//! fused `CellModel::retarget` of several fields at once must match
+//! both a cold build and the one-field sequence, in one refresh.
 
 use proptest::prelude::*;
 
 use bright_echem::{vanadium, Electrolyte};
 use bright_flow::RectChannel;
 use bright_flowcell::options::{SolverOptions, TemperatureProfile, VelocityModel};
-use bright_flowcell::{CellGeometry, CellModel, CellSolution};
+use bright_flowcell::{CellGeometry, CellModel, CellSolution, CellTarget, GeometryCache};
 use bright_units::{CubicMetersPerSecond, Kelvin, Meters, MolePerCubicMeter};
 
 fn geometry() -> CellGeometry {
@@ -183,5 +185,127 @@ proptest! {
         prop_assert_eq!(stats.geometry_builds, 1, "duct was re-solved");
         prop_assert_eq!(stats.op_builds, 2, "flow/temperature retargets built new operators");
         prop_assert!(stats.op_refreshes >= 2);
+    }
+}
+
+/// The fused-retarget target with every field drawn from `p ∈ [0,1)⁴`;
+/// `moved` masks which fields leave `from` (bit 0 geometry, 1 ASR,
+/// 2 flow, 3 temperature).
+fn moved_target(from: &CellTarget, moved: usize, p: [f64; 4]) -> CellTarget {
+    let mut to = from.clone();
+    if moved & 1 != 0 {
+        to.geometry = CellGeometry::new(
+            RectChannel::new(
+                Meters::from_micrometers(180.0 + 50.0 * p[0]),
+                Meters::from_micrometers(400.0),
+                Meters::from_millimeters(22.0),
+            )
+            .unwrap(),
+        );
+    }
+    if moved & 2 != 0 {
+        to.contact_asr = 1e-6 + 4e-5 * p[1];
+    }
+    if moved & 4 != 0 {
+        to.flow = CubicMetersPerSecond::from_milliliters_per_minute(3.0 + 12.0 * p[2]);
+    }
+    if moved & 8 != 0 {
+        to.temperature = TemperatureProfile::Sampled(vec![
+            Kelvin::new(296.0 + 8.0 * p[3]),
+            Kelvin::new(301.0 + 11.0 * p[3]),
+            Kelvin::new(299.0 + 15.0 * p[3]),
+            Kelvin::new(305.0 + 9.0 * p[3]),
+        ]);
+    }
+    to
+}
+
+fn cold_at(to: &CellTarget, velocity: VelocityModel) -> CellModel {
+    CellModel::new(
+        to.geometry,
+        vanadium::power7_cell_chemistry(),
+        to.flow,
+        to.temperature.clone(),
+        SolverOptions {
+            contact_asr: to.contact_asr,
+            ..options(velocity)
+        },
+    )
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn fused_retargets_match_cold_builds_and_wrapper_sequences(
+        m1 in 0usize..16,
+        m2 in 0usize..16,
+        p1 in 0.0..1.0f64,
+        p2 in 0.0..1.0f64,
+        p3 in 0.0..1.0f64,
+        p4 in 0.0..1.0f64,
+        v_probe in 0.4..1.3f64,
+    ) {
+        let velocity = VelocityModel::Duct { nz: 6 };
+        let spec = Spec::base(velocity);
+        let mut fused = spec.cold_model();
+        let mut stepped = spec.cold_model();
+        fused.solve_at_voltage(1.0).unwrap();
+        stepped.solve_at_voltage(1.0).unwrap();
+        let (cache, stepped_cache) = (GeometryCache::new(), GeometryCache::new());
+
+        for (moved, p) in [(m1, [p1, p2, p3, p4]), (m2, [p4, p3, p1, p2])] {
+            let to = moved_target(&fused.target(), moved, p);
+            let before = fused.context_stats().coefficient_refreshes;
+            fused.retarget(&to, Some(&cache)).unwrap();
+            let refreshes = fused.context_stats().coefficient_refreshes - before;
+            prop_assert_eq!(refreshes, u64::from(moved != 0), "mask {}", moved);
+            prop_assert!(fused.target() == to);
+
+            stepped.retarget_geometry(to.geometry, Some(&stepped_cache)).unwrap();
+            stepped.retarget_contact_asr(to.contact_asr).unwrap();
+            stepped.retarget_flow(to.flow).unwrap();
+            stepped.retarget_temperature(to.temperature.clone()).unwrap();
+
+            let warm = fused.solve_at_voltage(v_probe).unwrap();
+            assert_bitwise_equal(&warm, &stepped.solve_at_voltage(v_probe).unwrap());
+            assert_bitwise_equal(&warm, &cold_at(&to, velocity).solve_at_voltage(v_probe).unwrap());
+        }
+        let stats = fused.context_stats();
+        prop_assert_eq!(stats.coefficient_builds, 1);
+        // A no-change target is free.
+        let same = fused.target();
+        fused.retarget(&same, Some(&cache)).unwrap();
+        prop_assert_eq!(fused.context_stats(), stats);
+    }
+
+    #[test]
+    fn invalid_fused_targets_leave_the_model_unchanged(
+        moved in 0usize..16,
+        bad in 0usize..4,
+        p in 0.0..1.0f64,
+        v_probe in 0.4..1.3f64,
+    ) {
+        let spec = Spec::base(VelocityModel::Duct { nz: 6 });
+        let mut model = spec.cold_model();
+        let reference = model.solve_at_voltage(v_probe).unwrap();
+        let before = (model.target(), model.context_stats());
+
+        // Valid moves of any fields alongside one invalid field.
+        let mut to = moved_target(&model.target(), moved, [p; 4]);
+        match bad {
+            0 => to.flow = CubicMetersPerSecond::new(0.0),
+            1 => to.flow = CubicMetersPerSecond::new(f64::NAN),
+            2 => to.contact_asr = -1e-6,
+            _ => to.temperature = TemperatureProfile::Sampled(vec![
+                Kelvin::new(300.0),
+                Kelvin::new(-4.0),
+            ]),
+        }
+        prop_assert!(model.retarget(&to, None).is_err());
+        prop_assert!(model.target() == before.0);
+        prop_assert_eq!(model.context_stats(), before.1);
+        assert_bitwise_equal(&model.solve_at_voltage(v_probe).unwrap(), &reference);
     }
 }

@@ -21,12 +21,18 @@ impl Grid2d {
     ///
     /// # Errors
     ///
-    /// Returns [`MeshError::InvalidGrid`] if a dimension is zero or a
-    /// spacing is not strictly positive and finite.
+    /// Returns [`MeshError::InvalidGrid`] if a dimension is zero, the
+    /// cell count `nx·ny` overflows `usize`, or a spacing is not
+    /// strictly positive and finite.
     pub fn new(nx: usize, ny: usize, dx: f64, dy: f64) -> Result<Self, MeshError> {
         if nx == 0 || ny == 0 {
             return Err(MeshError::InvalidGrid(format!(
                 "grid dimensions must be positive, got {nx}x{ny}"
+            )));
+        }
+        if nx.checked_mul(ny).is_none() {
+            return Err(MeshError::InvalidGrid(format!(
+                "grid of {nx}x{ny} cells overflows the cell count"
             )));
         }
         if !(dx > 0.0 && dx.is_finite() && dy > 0.0 && dy.is_finite()) {
@@ -205,6 +211,13 @@ mod tests {
         assert!((g.width() - 26.55e-3).abs() < 1e-12);
         assert!((g.height() - 21.34e-3).abs() < 1e-12);
         assert_eq!(g.len(), 8000);
+    }
+
+    #[test]
+    fn rejects_a_cell_count_that_overflows() {
+        let side = 1usize << (usize::BITS / 2);
+        assert!(Grid2d::new(side, side, 1.0, 1.0).is_err());
+        assert!(Grid2d::new(side - 1, side, 1.0, 1.0).is_ok());
     }
 
     #[test]

@@ -5,28 +5,13 @@
 //! fan-out). Items are claimed dynamically from an atomic cursor so
 //! unevenly sized work still balances, results come back in input
 //! order, and a worker count of 1 runs inline on the caller's thread
-//! with zero overhead. Worker-count *policy* (hardware detection,
-//! environment caps) stays with the callers; this module only executes.
+//! with zero overhead. [`try_parallel_for_each_mut`] is the in-place
+//! counterpart: it hands each worker one contiguous `&mut` chunk.
+//! Worker-count *policy* (hardware detection, environment caps) stays
+//! with the callers; this module only executes.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-thread_local! {
-    /// True on threads spawned by [`parallel_map_indexed`] — the sweep
-    /// fan-out workers. The kernel layer's `Auto` backend policy never
-    /// picks the threaded backend, so no default path nests threads;
-    /// an explicitly fixed threaded backend is not checked against it.
-    static IN_FANOUT_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True when the calling thread is a sweep fan-out worker (see
-/// [`parallel_map_indexed`]), for callers that want to keep one level
-/// of parallelism at a time.
-#[must_use]
-pub fn in_fanout_worker() -> bool {
-    IN_FANOUT_WORKER.with(Cell::get)
-}
 
 /// Worker count for a fan-out over `items` elements: the machine's
 /// available parallelism, capped by the item count and by the
@@ -68,7 +53,6 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers.min(items.len()) {
             scope.spawn(|| {
-                IN_FANOUT_WORKER.with(|f| f.set(true));
                 // A fault-plan override scoped on the caller must also
                 // govern the work it fans out.
                 crate::faults::set_thread_override(fault_override);
@@ -134,7 +118,6 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers.min(items.len()) {
             scope.spawn(|| {
-                IN_FANOUT_WORKER.with(|f| f.set(true));
                 crate::faults::set_thread_override(fault_override);
                 let mut local = Vec::new();
                 loop {
@@ -175,6 +158,62 @@ where
     Ok(tagged.into_iter().map(|(_, r)| r).collect())
 }
 
+/// Applies `f(index, item)` to every item **in place**, splitting
+/// `items` into at most `workers` contiguous chunks, each mutated by
+/// its own scoped thread (safe `chunks_mut` borrows; no shared
+/// cursor). Returns the error of the *lowest failing index*: a worker
+/// stops at the first failure in its chunk, and the chunks are read
+/// back in order, so that is the error a serial loop would stop at —
+/// though chunks past it have been processed (a serial loop would
+/// leave them untouched). A fault-plan override scoped on the caller
+/// governs the workers, as in [`parallel_map_indexed`]. With one
+/// worker, or at most one item, the loop runs inline.
+///
+/// # Errors
+///
+/// The first error of `f` in index order.
+///
+/// # Panics
+///
+/// Propagates panics from `f` (the scope joins all workers first).
+pub fn try_parallel_for_each_mut<T, E, F>(items: &mut [T], workers: usize, f: F) -> Result<(), E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(usize, &mut T) -> Result<(), E> + Sync,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter_mut().enumerate().try_for_each(|(i, t)| f(i, t));
+    }
+    let chunk = items.len().div_ceil(workers);
+    let fault_override = crate::faults::thread_override();
+    let f = &f;
+    let first_errors: Vec<Option<E>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(c, part)| {
+                scope.spawn(move || {
+                    crate::faults::set_thread_override(fault_override);
+                    part.iter_mut()
+                        .enumerate()
+                        .find_map(|(k, t)| f(c * chunk + k, t).err())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    first_errors
+        .into_iter()
+        .flatten()
+        .next()
+        .map_or(Ok(()), Err)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,19 +229,6 @@ mod tests {
                 "{workers} workers"
             );
         }
-    }
-
-    #[test]
-    fn fanout_flag_is_set_only_on_workers() {
-        assert!(!in_fanout_worker());
-        let items: Vec<u8> = (0..16).collect();
-        let flags = parallel_map_indexed(&items, 4, |_, _| in_fanout_worker());
-        // With >1 workers every item runs on a spawned worker thread.
-        assert!(flags.iter().all(|&f| f));
-        // Inline path (1 worker): caller's thread, flag stays clear.
-        let inline = parallel_map_indexed(&items, 1, |_, _| in_fanout_worker());
-        assert!(inline.iter().all(|&f| !f));
-        assert!(!in_fanout_worker());
     }
 
     #[test]
@@ -279,5 +305,61 @@ mod tests {
         });
         assert_eq!(out, Err(7));
         assert_eq!(calls.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn for_each_mut_matches_inline_for_any_worker_count() {
+        let inline: Vec<usize> = (0..53).map(|i| i * 3 + 1).collect();
+        for workers in [1, 2, 3, 8, 200] {
+            let mut items: Vec<usize> = (0..53).collect();
+            let out: Result<(), ()> = try_parallel_for_each_mut(&mut items, workers, |i, x| {
+                *x = i * 3 + 1;
+                Ok(())
+            });
+            assert_eq!(out, Ok(()));
+            assert_eq!(items, inline, "{workers} workers");
+        }
+        let mut empty: Vec<u8> = Vec::new();
+        assert_eq!(
+            try_parallel_for_each_mut(&mut empty, 4, |_, _| Err(())),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn for_each_mut_returns_first_error_in_index_order() {
+        for workers in [1, 2, 3, 4, 16] {
+            let mut items: Vec<usize> = (0..64).collect();
+            let out = try_parallel_for_each_mut(&mut items, workers, |i, x| {
+                if i % 2 == 1 && i >= 9 {
+                    Err(i)
+                } else {
+                    *x += 100;
+                    Ok(())
+                }
+            });
+            assert_eq!(out, Err(9), "{workers} workers");
+            // Everything below the first failure was applied.
+            assert!(items[..9].iter().enumerate().all(|(i, &x)| x == i + 100));
+        }
+    }
+
+    #[test]
+    fn for_each_mut_workers_inherit_the_fault_override() {
+        use crate::faults::{self, FaultPlan};
+        let plan = FaultPlan {
+            seed: 7,
+            nan: 3,
+            ..FaultPlan::default()
+        };
+        let mut seen = vec![None; 12];
+        faults::with_plan(Some(plan), || {
+            try_parallel_for_each_mut(&mut seen, 3, |_, s| {
+                *s = Some(faults::thread_override());
+                Ok::<(), ()>(())
+            })
+        })
+        .unwrap();
+        assert!(seen.iter().all(|s| *s == Some(Some(Some(plan)))), "{seen:?}");
     }
 }

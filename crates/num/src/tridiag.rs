@@ -177,8 +177,7 @@ impl TridiagonalSystem {
 /// The marching transport solver applies the *same* cross-stream operator
 /// at every station of every sweep point; factoring once and reusing the
 /// factorization turns each solve into a forward/backward substitution
-/// with no divisions, which is the amortized-assembly counterpart of
-/// [`TridiagonalWorkspace`].
+/// with no divisions.
 ///
 /// # Examples
 ///
@@ -418,74 +417,6 @@ impl TridiagonalFactorization {
     }
 }
 
-/// Workspace-reusing Thomas solver for repeated solves of same-sized
-/// systems whose bands change between solves (a fixed operator is
-/// cheaper as a [`TridiagonalFactorization`]).
-///
-/// Unlike [`TridiagonalSystem::solve`], no allocations are made after
-/// construction.
-#[derive(Debug, Clone)]
-pub struct TridiagonalWorkspace {
-    c_prime: Vec<f64>,
-    n: usize,
-}
-
-impl TridiagonalWorkspace {
-    /// Creates a workspace for systems of `n` unknowns.
-    pub fn new(n: usize) -> Self {
-        Self {
-            c_prime: vec![0.0; n],
-            n,
-        }
-    }
-
-    /// Solves in place: `x` enters holding the right-hand side and exits
-    /// holding the solution. Bands are passed as slices.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`TridiagonalSystem::solve`].
-    pub fn solve_in_place(
-        &mut self,
-        lower: &[f64],
-        diag: &[f64],
-        upper: &[f64],
-        x: &mut [f64],
-    ) -> Result<(), NumError> {
-        let n = self.n;
-        if diag.len() != n || x.len() != n || lower.len() + 1 != n || upper.len() + 1 != n {
-            return Err(NumError::DimensionMismatch(format!(
-                "workspace sized {n}, got bands ({}, {}, {}) rhs {}",
-                lower.len(),
-                diag.len(),
-                upper.len(),
-                x.len()
-            )));
-        }
-        let mut beta = diag[0];
-        if beta.abs() < f64::MIN_POSITIVE * 16.0 {
-            return Err(NumError::SingularMatrix { index: 0 });
-        }
-        self.c_prime[0] = if n > 1 { upper[0] / beta } else { 0.0 };
-        x[0] /= beta;
-        for i in 1..n {
-            beta = diag[i] - lower[i - 1] * self.c_prime[i - 1];
-            if beta.abs() < f64::MIN_POSITIVE * 16.0 {
-                return Err(NumError::SingularMatrix { index: i });
-            }
-            if i < n - 1 {
-                self.c_prime[i] = upper[i] / beta;
-            }
-            x[i] = (x[i] - lower[i - 1] * x[i - 1]) / beta;
-        }
-        for i in (0..n - 1).rev() {
-            let next = x[i + 1];
-            x[i] -= self.c_prime[i] * next;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,23 +516,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn workspace_matches_allocating_solver() {
-        let n = 16;
-        let lower = vec![-1.0; n - 1];
-        let diag = vec![3.0; n];
-        let upper = vec![-1.5; n - 1];
-        let b: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let sys =
-            TridiagonalSystem::from_bands(lower.clone(), diag.clone(), upper.clone()).unwrap();
-        let expected = sys.solve(&b).unwrap();
-        let mut ws = TridiagonalWorkspace::new(n);
-        let mut x = b;
-        ws.solve_in_place(&lower, &diag, &upper, &mut x).unwrap();
-        for (a, e) in x.iter().zip(&expected) {
-            assert!((a - e).abs() < 1e-13);
-        }
-    }
 
     #[test]
     fn factorization_matches_allocating_solver() {
@@ -640,14 +554,5 @@ mod tests {
         let mut x = vec![10.0];
         fac.solve_in_place(&mut x).unwrap();
         assert_eq!(x, vec![5.0]);
-    }
-
-    #[test]
-    fn workspace_rejects_wrong_size() {
-        let mut ws = TridiagonalWorkspace::new(4);
-        let mut x = vec![0.0; 3];
-        assert!(ws
-            .solve_in_place(&[1.0, 1.0], &[1.0, 1.0, 1.0], &[1.0, 1.0], &mut x)
-            .is_err());
     }
 }
